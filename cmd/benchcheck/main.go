@@ -22,7 +22,7 @@
 //     sim-instr/s): higher is better; fails when the current capture
 //     drops more than the threshold below the baseline.
 //
-// Other units (B/op, phases/Minstr, ...) are carried in the record and
+// Other units (B/op, x-aggregate-scaling, ...) are carried in the record and
 // printed for diffing but never fail the gate. Exit codes: 0 all matched
 // benchmarks within threshold, 1 regression, 2 usage/parse error.
 package main

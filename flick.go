@@ -257,11 +257,12 @@ func (s *System) Now() sim.Time { return s.Machine.Env.Now() }
 // every platform component registered into, plus the recorded event trace.
 func (s *System) Report() sim.Report { return s.Machine.Env.Report() }
 
-// SimParStats returns the conservative parallel engine's bookkeeping (all
-// zero when sim-par is off). Deliberately separate from Report: the Report
-// is byte-identical between sequential and parallel runs, while these
-// stats describe how the parallel engine got there.
-func (s *System) SimParStats() sim.SimParStats { return s.Machine.Env.SimParStats() }
+// Close releases the machine's simulated processes (see sim.Env.Close):
+// the idle device engines and scheduler loops every machine spawns would
+// otherwise each keep a goroutine, and the machine's memory, alive. Call
+// it once the system's results have been read; the system must not run
+// again afterwards.
+func (s *System) Close() { s.Machine.Env.Close() }
 
 // Console returns the program's console output.
 func (s *System) Console() string { return s.Kernel.Console() }

@@ -166,7 +166,7 @@ func (rt *Runtime) dispatchToBoard(p *sim.Proc, c *cpu.Core, t *kernel.Task, tar
 			// here — it may itself fault and recurse into this handler.
 			// The return is addressed to the board frame that asked, via
 			// the mailbox the call came in on.
-			rt.hostStats.N2HCalls++
+			rt.stats.N2HCalls++
 			rt.M.Env.Emit(sim.Event{Comp: "runtime", Kind: sim.KindMigrate, Addr: d.Target, Aux: uint64(t.PID), Note: "n2h"})
 			ret, err := c.Call(p, d.Target, d.Args[0], d.Args[1], d.Args[2], d.Args[3], d.Args[4], d.Args[5])
 			if err != nil {
@@ -261,7 +261,7 @@ func (rt *Runtime) nxpHandler(p *sim.Proc, c *cpu.Core) error {
 			return nil
 		case DescCall:
 			// Lines 6-9: a nested host→NxP call while we wait.
-			rt.board[c].stats.H2NCalls++
+			rt.stats.H2NCalls++
 			rt.M.Env.Emit(sim.Event{Comp: c.Name(), Kind: sim.KindMigrate, Addr: d.Target, Aux: uint64(pid), Note: "h2n"})
 			p.Sleep(rt.Costs.NxPContextSwitch)
 			ret, err := c.Call(p, d.Target, d.Args[0], d.Args[1], d.Args[2], d.Args[3], d.Args[4], d.Args[5])

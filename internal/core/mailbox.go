@@ -110,10 +110,8 @@ type Mailbox struct {
 	// fail reports a descriptor abandoned after the DMA retry budget.
 	fail failFn
 
-	// descBuf is the scratch buffer for untimed descriptor peeks. All
-	// mailbox routing runs under the sequential engine (phase members park
-	// before touching shared state), and every user fills and consumes it
-	// without an intervening yield, so one buffer per mailbox keeps these
+	// descBuf is the scratch buffer for untimed descriptor peeks. Every
+	// user fills and consumes it without an intervening yield, so one buffer per mailbox keeps these
 	// hot paths allocation-free.
 	descBuf [DescSize]byte
 

@@ -84,17 +84,6 @@ type Config struct {
 	// FLICKSIM_NOPREDECODE environment variable disables it process-wide
 	// (see docs/PERFORMANCE.md); results are byte-identical either way.
 	NoPredecode bool
-	// PhaseDomain, when nonzero, brackets every Call window with
-	// Proc.BeginCompute(PhaseDomain)/EndCompute, making the core eligible
-	// for conservative parallel phases (see internal/sim/domain.go and
-	// docs/SCALING.md). The platform sets it to 1+board index on board
-	// cores only when the machine was built with Params.SimPar.
-	PhaseDomain int
-	// PhaseLocal reports whether a physical address belongs to the core's
-	// own domain (its board-local DDR/BRAM). While the core runs inside a
-	// phase, accesses to addresses outside this predicate park the core
-	// back under sequential scheduling first. Nil means nothing is local.
-	PhaseLocal func(pa uint64) bool
 }
 
 // Core is one simulated processor. It executes whatever Context is
@@ -234,18 +223,6 @@ func (c *Core) execOK(f paging.Flags) bool {
 	return f.NX == c.cfg.ExecNX
 }
 
-// phaseGuard keeps conservative parallel phases honest: a core running as
-// a phase member may only touch physical memory its own domain owns. Any
-// other address — host DRAM, another board's BAR window, MMIO registers —
-// parks the core back to sequential execution first, so the access is
-// ordered against the rest of the machine exactly as it would be without
-// sim-par. Outside a phase this is one predicate call at most.
-func (c *Core) phaseGuard(p *sim.Proc, pa uint64) {
-	if p.InPhase() && (c.cfg.PhaseLocal == nil || !c.cfg.PhaseLocal(pa)) {
-		p.PhaseSync()
-	}
-}
-
 // charge advances virtual time by n core cycles.
 func (c *Core) charge(p *sim.Proc, n int) {
 	c.cycles += uint64(n)
@@ -293,10 +270,6 @@ func (c *Core) fetch(p *sim.Proc) (uint64, *Fault) {
 // RAM/ROM, no copy) or the core's reusable fetch buffer; either way it is
 // only valid until the next fetch and allocates nothing.
 func (c *Core) fetchBytes(p *sim.Proc, phys uint64) ([]byte, *Fault) {
-	// Code reads (and the superblock build + code-watch marking that
-	// follow on the cold path) may touch the backing store; inside a phase
-	// they must come from domain-local memory.
-	c.phaseGuard(p, phys)
 	pc := c.ctx.PC
 	max := uint64(c.codec.MaxLen())
 
@@ -385,7 +358,6 @@ func (c *Core) Step(p *sim.Proc) error {
 			}
 		}
 	}
-	p.PhaseSync() // fault handlers reach the kernel and emit trace events
 	c.faults++
 	if c.cfg.Fault != nil {
 		if err := c.cfg.Fault(p, c, f); err != nil {

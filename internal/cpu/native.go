@@ -50,14 +50,6 @@ func (c *Core) Call(p *sim.Proc, target uint64, args ...uint64) (uint64, error) 
 	if len(args) > 6 {
 		return 0, fmt.Errorf("cpu: Call with %d args; calling convention passes at most 6", len(args))
 	}
-	if c.cfg.PhaseDomain > 0 {
-		// The interpreter loop below is this core's compute window: while
-		// it runs, the core is eligible for conservative parallel phases.
-		// EndCompute parks the process if a phase is still open when the
-		// call returns, so the caller's glue always runs sequentially.
-		p.BeginCompute(c.cfg.PhaseDomain)
-		defer p.EndCompute()
-	}
 	ctx := c.ctx
 	savedPC := ctx.PC
 	savedRA := ctx.Reg(isa.RA)

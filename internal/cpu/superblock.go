@@ -489,7 +489,6 @@ func (c *Core) stepDecoded(p *sim.Proc, phys uint64) error {
 			return c.execute(p, ins, n)
 		}
 	}
-	p.PhaseSync() // fault handlers reach the kernel and emit trace events
 	c.faults++
 	if c.cfg.Fault != nil {
 		if err := c.cfg.Fault(p, c, f); err != nil {

@@ -9,10 +9,14 @@ package mem
 
 import "fmt"
 
-// chunkBits selects the sparse allocation granule (64 KiB). Multi-gigabyte
-// simulated DIMMs only consume real memory for the granules actually
-// touched, so a "4 GB" NxP board costs nothing until a workload writes it.
-const chunkBits = 16
+// chunkBits selects the sparse allocation granule (4 KiB, one page).
+// Multi-gigabyte simulated DIMMs only consume real memory for the granules
+// actually touched, so a "4 GB" NxP board costs nothing until a workload
+// writes it. The granule stays at one page because Go zeroes every
+// allocation it recycles from a finished machine in full: a pointer chase
+// that scatters 8-byte nodes over the board would otherwise clear 64 KiB
+// per node.
+const chunkBits = 12
 const chunkSize = 1 << chunkBits
 
 // frameBits selects the code-watch granule (4 KiB, one page frame).

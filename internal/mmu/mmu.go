@@ -107,15 +107,6 @@ func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
 	if m.tables == nil {
 		return tlb.Result{}, ErrNoTables
 	}
-	if p != nil {
-		// The table walk reads shared page tables the kernel mutates
-		// (migration remaps, shootdowns); a conservative-parallel phase
-		// member must fall back to sequential ordering before walking. The
-		// call also bars the rest of the compute window from phase
-		// membership, so the walk-cost Sleep below cannot be forked into a
-		// phase between the walk and the Accessed-bit update.
-		p.PhaseSync()
-	}
 	w, err := m.tables.Walk(va)
 	if err != nil {
 		// Even a failing walk costs the reads it performed before missing;

@@ -120,24 +120,6 @@ type Params struct {
 	// docs/TRAFFIC.md). Off by default so baseline metrics snapshots
 	// carry no new keys.
 	TrafficMetrics bool
-	// SimPar enables conservative parallel intra-simulation execution:
-	// board cores run their compute windows concurrently on real OS
-	// threads, bounded by the PCIe link-latency lookahead window, with
-	// every artifact byte-identical to the sequential engine (see
-	// docs/SCALING.md). Off by default; FLICKSIM_NOSIMPAR=1 and
-	// FLICKSIM_NOPREDECODE=1 both force it back off, and machines with a
-	// cpu.spurious fault rule stay sequential (the injected ghost faults
-	// draw from one PRNG stream shared across cores, which only has a
-	// deterministic draw order under sequential stepping).
-	SimPar bool
-	// SimParMetrics registers the parallel engine's bookkeeping as
-	// gauges (simpar.phases, simpar.members, simpar.singleton_phases,
-	// simpar.parked_emits) over Env.SimParStats. Off by default, exactly
-	// like TrafficMetrics: the paper-artifact metrics snapshot must carry
-	// no new keys, and a sim-par run's snapshot must stay byte-identical
-	// to a sequential run's — these gauges read nonzero only under the
-	// parallel engine, so they are strictly opt-in diagnostics.
-	SimParMetrics bool
 }
 
 // DefaultParams returns the calibrated Table I machine.
@@ -165,17 +147,6 @@ func DefaultParams() Params {
 		NxPWalkPerReq:   250 * sim.Nanosecond, // microcoded MMU dispatch
 		HostFetchLine:   1 * sim.Nanosecond,
 	}
-}
-
-// SimParLookahead is the conservative lookahead window the parallel
-// engine uses when Params.SimPar is set: the minimum virtual time any
-// cross-board influence needs to reach another board's local state. Every
-// cross-domain path in this machine crosses the PCIe link, and the
-// cheapest full crossing is a host load from board memory — one 8-byte
-// link read round-trip plus the DRAM device latency behind it (the
-// paper's ~825 ns host-load-from-board figure on the default link).
-func (p *Params) SimParLookahead() sim.Duration {
-	return p.Link.ReadLatency(8) + p.HostDRAMDevice
 }
 
 // Board is one PCIe-attached NxP board: its core, memories, BAR windows,
@@ -251,7 +222,6 @@ type Machine struct {
 
 	boardISAs []isa.ISA // each board's primary core family
 	tagged    bool      // PTE-tagged execution (3+ distinct core ISAs)
-	simPar    bool      // conservative parallel engine armed for this machine
 }
 
 // BoardISA returns the primary core family of one board.
@@ -361,13 +331,6 @@ func New(params Params) (*Machine, error) {
 		}
 	}
 
-	// Conservative parallel execution: decided before the cores are built
-	// (core configs carry the domain tags) and armed after. The escape
-	// hatches and the shared cpu.spurious PRNG stream all force the
-	// machine back to the plain sequential engine; see Params.SimPar.
-	m.simPar = params.SimPar && !sim.SimParDisabled() && !sim.FastPathsDisabled() &&
-		!m.Injector.HasRule("cpu", "spurious")
-
 	m.HostView = mem.NewAddressSpace("host-view")
 	m.NxPView = mem.NewAddressSpace("nxp-view")
 	m.HostDRAM = mem.NewRAM("host-dram", params.HostDRAM)
@@ -440,20 +403,6 @@ func New(params Params) (*Machine, error) {
 
 	m.Natives = cpu.NewNativeTable()
 	m.buildCores()
-	if m.simPar {
-		m.Env.EnableSimPar(nBoards, params.SimParLookahead())
-	}
-	if params.SimParMetrics {
-		// Opt-in diagnostics (see Params.SimParMetrics): gauge-based, so
-		// the engine's hot paths don't know these exist, and absent from
-		// every default snapshot.
-		env := m.Env
-		reg0 := env.Metrics()
-		reg0.Gauge("simpar.phases", func() uint64 { return env.SimParStats().Phases })
-		reg0.Gauge("simpar.members", func() uint64 { return env.SimParStats().Members })
-		reg0.Gauge("simpar.singleton_phases", func() uint64 { return env.SimParStats().SingletonPhases })
-		reg0.Gauge("simpar.parked_emits", func() uint64 { return env.SimParStats().ParkedEmits })
-	}
 
 	// Publish every core's counters (and those of its MMUs and TLBs) into
 	// the environment's metrics registry. Registration is gauge-based, so
@@ -640,8 +589,6 @@ func (m *Machine) buildCores() {
 		ICacheLines:   p.NxPICacheLines,
 		Natives:       m.Natives,
 		SpuriousFault: spurious,
-		PhaseDomain:   m.phaseDomain(0),
-		PhaseLocal:    m.phaseLocal(b0),
 	})
 	b0.NxP = m.NxP
 	m.coreTLBSets = append(m.coreTLBSets,
@@ -670,8 +617,6 @@ func (m *Machine) buildCores() {
 			ICacheLines:   p.NxPICacheLines,
 			Natives:       m.Natives,
 			SpuriousFault: spurious,
-			PhaseDomain:   m.phaseDomain(0),
-			PhaseLocal:    m.phaseLocal(b0),
 		})
 		m.coreTLBSets = append(m.coreTLBSets,
 			coreTLBSet{name: "dsp0", core: m.DSP, tlbs: []*tlb.TLB{dITLB, dDTLB}})
@@ -701,40 +646,9 @@ func (m *Machine) buildCores() {
 			ICacheLines:   p.NxPICacheLines,
 			Natives:       m.Natives,
 			SpuriousFault: spurious,
-			PhaseDomain:   m.phaseDomain(b.Index),
-			PhaseLocal:    m.phaseLocal(b),
 		})
 		m.coreTLBSets = append(m.coreTLBSets,
 			coreTLBSet{name: name, core: b.NxP, tlbs: []*tlb.TLB{iT, dT}})
-	}
-}
-
-// phaseDomain is the conservative-parallel domain tag for a board's cores
-// (1 + board index; 0 — never eligible — when sim-par is off for this
-// machine). Both board-0 cores (NxP and DSP) share domain 1: same-domain
-// cores share memory with zero latency, and the phase scheduler keeps
-// same-domain processes strictly sequential with each other.
-func (m *Machine) phaseDomain(boardIdx int) int {
-	if !m.simPar {
-		return 0
-	}
-	return 1 + boardIdx
-}
-
-// phaseLocal builds the domain-ownership predicate for a board's cores:
-// the physical addresses (in the shared NxP view) a phase member may touch
-// without leaving its domain. That is the board's own DDR plus its own
-// BRAM above the mailbox carve — the mailbox rings are written by the host
-// and the DMA engine, so they stay outside every domain, as do the
-// board-local device registers and all host-side windows.
-func (m *Machine) phaseLocal(b *Board) func(pa uint64) bool {
-	if !m.simPar {
-		return nil
-	}
-	ddrLo, ddrHi := b.LocalDDR, b.LocalDDR+m.Params.NxPDDR
-	bramLo, bramHi := b.LocalBRAM+BRAMMailboxCarve, b.LocalBRAM+m.Params.NxPBRAM
-	return func(pa uint64) bool {
-		return (pa >= ddrLo && pa < ddrHi) || (pa >= bramLo && pa < bramHi)
 	}
 }
 

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"os"
 	"sort"
-	"sync"
 )
 
 // FastPathsDisabled reports whether the FLICKSIM_NOPREDECODE escape hatch
@@ -22,10 +23,11 @@ func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
 // related primitives. Run drives the simulation until no runnable work
 // remains or a stop condition fires.
 //
-// Exactly one process goroutine executes at a time; the scheduler goroutine
-// and the running process hand control back and forth over unbuffered
-// channels, so the simulation is fully deterministic despite being built
-// from goroutines.
+// Every process body runs as an iter.Pull coroutine: the event loop
+// resumes it with next() and Sleep/Wait hand control back by yielding, so
+// exactly one body executes at a time and the simulation is fully
+// deterministic. A coroutine switch is a direct handoff between the event
+// loop and the body, with no scheduler wakeup and no channel.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -41,36 +43,6 @@ type Env struct {
 
 	trace   *Trace
 	metrics *Metrics
-	panicV  any           // re-thrown panic from a process
-	yield   chan yieldMsg // handed a token each time the running process cedes control
-
-	// Conservative parallel engine (see domain.go). All zero/nil until
-	// EnableSimPar arms it; the sequential engine never consults them
-	// beyond the single e.simPar branch in the event loops.
-	simPar           bool
-	domains          int
-	lookahead        Duration
-	statPhases       uint64
-	statMembers      uint64
-	statSingletons   uint64
-	statHorizonWaits uint64
-	statRounds       uint64
-	statParkedEmits  uint64
-
-	// Phase scratch, preallocated once by EnableSimPar and reused by every
-	// phase so the fork/join hot path allocates nothing: member entries,
-	// per-member park slots and round states, and the queue-derived horizon
-	// bounds computed once per phase (see scanPhaseBounds). phaseWG is the
-	// members' handoff back to the scheduler: each member writes its own
-	// phaseMsgs slot and calls Done, replacing the old per-park channel
-	// rendezvous.
-	phaseMembers []event
-	phaseMsgs    []parkMsg
-	phaseState   []uint8
-	phaseWG      sync.WaitGroup
-	qbTagged     []taggedBound
-	qbOther      Time
-	qbAll        Time
 }
 
 // maxTime is the largest representable virtual time, used as the "no
@@ -94,7 +66,6 @@ func NewEnv(opts ...EnvOption) *Env {
 	e := &Env{
 		trace:   NewTrace(0),
 		metrics: NewMetrics(),
-		yield:   make(chan yieldMsg),
 		horizon: maxTime,
 		noFast:  FastPathsDisabled(),
 	}
@@ -149,15 +120,12 @@ func (e *Env) Report() Report {
 }
 
 // event is a scheduled resumption of a process, or a timer expiry when
-// timer is non-nil. A phantom event is the replay cursor of a parked phase
-// member (see domain.go): dispatching it replays the member's recorded
-// sleep trajectory through the queue instead of resuming the goroutine.
+// timer is non-nil.
 type event struct {
-	at      Time
-	seq     uint64
-	proc    *Proc
-	timer   *Timer
-	phantom bool
+	at    Time
+	seq   uint64
+	proc  *Proc
+	timer *Timer
 }
 
 // procState tracks where a process is in its lifecycle.
@@ -171,35 +139,25 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // deterministically with all other processes in the same Env. All methods
 // must be called from within the process's own body function.
 type Proc struct {
 	env    *Env
 	name   string
 	state  procState
-	resume chan struct{}
-	body   func(*Proc)
+	body   func(*Proc) // set until the first dispatch starts the coroutine
 	daemon bool
+
+	// The coroutine, live from the first dispatch until the body returns
+	// or Env.Close stops it: the event loop resumes the body with next,
+	// and the body hands control back through yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// waitOn is the condition this process is blocked on, if any.
 	waitOn *Cond
-
-	// Conservative parallel engine state (see domain.go). domain and
-	// computeDepth are maintained by BeginCompute/EndCompute whether or
-	// not sim-par is armed; the rest is live only while inPhase.
-	domain       int
-	computeDepth int
-	inPhase      bool
-	phaseBarred  bool      // parked at a sync point; sequential until the next compute window
-	phaseDone    bool      // body returned in-phase; retire after the trajectory replays
-	pNow         Time      // private clock while running as a phase member
-	pHorizon     Time      // conservative bound on pNow for this phase
-	pStrict      Time      // no-slack bound: in-phase TrySleepInPlace may not cross it
-	phaseIdx     int       // member index within the current phase
-	traj         []Time    // private-clock sleep targets recorded this phase, for deferred replay
-	cursor       int       // replay position within traj
-	phaseCmd     chan bool // scheduler's round decision for a horizon-parked member: extend or join
 }
 
 // Name returns the process name given at Spawn time.
@@ -215,26 +173,19 @@ func (p *Proc) SetDaemon(v bool) { p.daemon = v }
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
 
-// Now returns the current virtual time: the process's private clock while
-// it runs as a phase member, the shared clock otherwise.
-func (p *Proc) Now() Time {
-	if p.inPhase {
-		return p.pNow
-	}
-	return p.env.now
-}
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.env.now }
 
 // Spawn registers a new process that starts at the current virtual time.
-// The body runs on its own goroutine but only while the scheduler has
-// granted it control. Spawn may be called before Run or from inside a
-// running process.
+// The body runs as a coroutine, created at its first dispatch, and only
+// while the event loop has handed it control. Spawn may be called before
+// Run or from inside a running process.
 func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{
-		env:    e,
-		name:   name,
-		state:  stateNew,
-		resume: make(chan struct{}),
-		body:   body,
+		env:   e,
+		name:  name,
+		state: stateNew,
+		body:  body,
 	}
 	e.procs = append(e.procs, p)
 	e.running++
@@ -263,59 +214,73 @@ func (e *Env) schedule(p *Proc, t Time) {
 	}
 }
 
-// yieldMsg is the token a process hands back to the scheduler when it
-// cedes control (by sleeping, waiting, or finishing).
-type yieldMsg struct{}
+// errClosed unwinds a process body whose coroutine Env.Close stopped. The
+// coroutine wrapper recovers it; it never escapes the package.
+var errClosed = errors.New("sim: environment closed")
 
-// run starts or resumes a process and waits until it yields or finishes.
+// start creates the process's coroutine. The wrapper's deferred bookkeeping
+// runs whether the body returns or panics; a panic other than errClosed
+// is re-raised, and iter.Pull re-raises it from next() on the event
+// loop's goroutine with its original value.
+func (p *Proc) start() {
+	body := p.body
+	p.body = nil
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.state = stateDone
+			p.env.running--
+			if r := recover(); r != nil && r != errClosed {
+				panic(r)
+			}
+		}()
+		body(p)
+	})
+}
+
+// step starts or resumes a process and returns when it yields or finishes.
 func (e *Env) step(ev event) {
 	p := ev.proc
-	if p.state == stateDone {
-		return
-	}
 	// A process can have stale queue entries (e.g. it was woken by Signal
-	// before its Sleep timer fired). Only the entry that matches a
-	// runnable/new process may run; others are dropped by the state check
-	// in the callers that enqueue them. Here we simply run whatever is
-	// runnable.
-	if p.state == stateBlocked {
-		return // stale timer for a process that re-blocked
+	// before its Sleep timer fired): a finished process, or one that has
+	// re-blocked on a condition, ignores them.
+	if p.state == stateDone || p.state == stateBlocked {
+		return
 	}
 	e.now = ev.at
 	p.state = stateRunning
-	if p.body != nil {
-		body := p.body
-		p.body = nil
-		go func() {
-			defer func() {
-				r := recover()
-				if p.inPhase {
-					// The body finished while running as a phase member;
-					// nobody is listening on e.yield until the phase joins.
-					// Report through the member's park slot instead and let
-					// the join do the state/running bookkeeping.
-					p.inPhase = false
-					e.phaseMsgs[p.phaseIdx] = parkMsg{kind: parkDone, pos: p.pNow, panicV: r}
-					e.phaseWG.Done()
-					return
-				}
-				if r != nil {
-					e.panicV = r
-				}
-				p.state = stateDone
-				e.running--
-				e.yield <- yieldMsg{}
-			}()
-			<-p.resume
-			body(p)
-		}()
+	if p.next == nil {
+		p.start()
 	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if e.panicV != nil {
-		v := e.panicV
-		e.panicV = nil
-		panic(v)
+	if _, ok := p.next(); !ok {
+		// The body returned; drop the coroutine so it can be collected.
+		p.next, p.stop, p.yield = nil, nil, nil
+	}
+}
+
+// handoff cedes control from the running body back to the event loop and
+// returns when the loop resumes it. A false yield means Env.Close stopped
+// the coroutine: the body unwinds through errClosed, running its deferred
+// calls on the way out.
+func (p *Proc) handoff() {
+	if !p.yield(struct{}{}) {
+		panic(errClosed)
+	}
+}
+
+// Close releases every process that has not finished: each suspended
+// coroutine is stopped and its body unwound, and processes never
+// dispatched are dropped. Call it when the simulation is done with the
+// environment (a finished machine's daemons idle forever otherwise, each
+// holding a goroutine and everything its body references). The
+// environment must not be run again afterwards. Close is idempotent.
+func (e *Env) Close() {
+	for _, p := range e.procs {
+		p.body = nil
+		if stop := p.stop; stop != nil {
+			p.next, p.stop, p.yield = nil, nil, nil
+			stop()
+		}
 	}
 }
 
@@ -334,10 +299,6 @@ func (e *Env) dispatch(ev event) {
 		t.fn()
 		return
 	}
-	if ev.phantom {
-		e.replayStep(ev)
-		return
-	}
 	e.step(ev)
 }
 
@@ -348,9 +309,6 @@ func (e *Env) dispatch(ev event) {
 func (e *Env) Run() Time {
 	e.horizon = maxTime
 	for e.queue.Len() > 0 {
-		if e.simPar && e.tryPhase() {
-			continue
-		}
 		e.dispatch(e.queue.Pop())
 	}
 	return e.now
@@ -361,9 +319,6 @@ func (e *Env) Run() Time {
 func (e *Env) RunUntil(deadline Time) Time {
 	e.horizon = deadline
 	for e.queue.Len() > 0 && e.queue.Head().at <= deadline {
-		if e.simPar && e.tryPhase() {
-			continue
-		}
 		e.dispatch(e.queue.Pop())
 	}
 	if e.now < deadline {
@@ -423,29 +378,13 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if p.inPhase {
-		// Phase member: advance the private clock without touching the
-		// shared queue, recording the target so the join can replay this
-		// trajectory through the real queue with the exact sequence numbers
-		// the sequential engine would have assigned (see domain.go).
-		// Crossing the horizon parks the member; the scheduler then either
-		// extends the phase with a horizon that covers the target (the
-		// member resumes in-phase) or joins the phase (the member resumes
-		// sequentially with the shared clock at the sleep target).
-		t := p.pNow.Add(d)
-		p.traj = append(p.traj, t)
-		if t <= p.pHorizon || p.phaseWaitSleep(t) {
-			p.pNow = t
-		}
-		return
-	}
 	e := p.env
 	t := e.now.Add(d)
 	// Fast path: if no other event can possibly run before t (the queue is
 	// empty, or its earliest event is strictly later — a tie would win on
 	// seq), handing control to the scheduler would immediately hand it
-	// back to this process with the clock at t. Skip the two channel
-	// round-trips and advance the clock in place. Observable behavior —
+	// back to this process with the clock at t. Skip the coroutine round
+	// trip and advance the clock in place. Observable behavior —
 	// event order, virtual timestamps, metrics, traces — is identical; a
 	// running process is never in the queue, so nothing else can observe
 	// the intermediate state. The horizon check keeps RunUntil exact: a
@@ -457,9 +396,7 @@ func (p *Proc) Sleep(d Duration) {
 		}
 	}
 	e.schedule(p, t)
-	p.state = stateRunnable
-	e.yield <- yieldMsg{}
-	<-p.resume
+	p.handoff()
 }
 
 // Yield cedes control so that other processes scheduled at the current
@@ -484,21 +421,6 @@ func (e *Env) SchedSeq() uint64 { return e.seq }
 func (p *Proc) TrySleepInPlace(d Duration) bool {
 	if d < 0 {
 		d = 0
-	}
-	if p.inPhase {
-		// The strict no-slack bound guarantees every constituent Sleep
-		// would take the sequential in-place fast path at replay time too,
-		// so an in-phase merge happens exactly when the sequential engine
-		// would also have merged (and consumed no sequence numbers). Beyond
-		// it the caller falls back to per-step Sleeps, which record or park
-		// individually.
-		t := p.pNow.Add(d)
-		if t <= p.pStrict {
-			p.traj = append(p.traj, t)
-			p.pNow = t
-			return true
-		}
-		return false
 	}
 	e := p.env
 	t := e.now.Add(d)
@@ -531,12 +453,10 @@ func (p *Proc) Wait(c *Cond) {
 	if c.env != p.env {
 		panic("sim: Wait on a Cond from a different Env")
 	}
-	p.PhaseSync() // conditions are shared state; a phase member parks first
 	c.waiters = append(c.waiters, p)
 	p.state = stateBlocked
 	p.waitOn = c
-	p.env.yield <- yieldMsg{}
-	<-p.resume
+	p.handoff()
 	p.waitOn = nil
 }
 
@@ -555,7 +475,6 @@ func (p *Proc) WaitFor(c *Cond, pred func() bool) {
 // internal timer is stopped, so a satisfied wait never stretches the
 // simulation's end time.
 func (p *Proc) WaitForTimeout(c *Cond, d Duration, pred func() bool) bool {
-	p.PhaseSync() // both pred and AfterFunc touch shared state
 	if pred() {
 		return true
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -228,6 +231,127 @@ func TestProcessPanicPropagates(t *testing.T) {
 		panic("boom")
 	})
 	env.Run()
+}
+
+// TestProcessPanicKeepsValue checks that a panic raised after the body
+// has already handed control back and forth surfaces from Run with its
+// original value (not a copy or a wrapper), and that the panicking process
+// is retired rather than reported as deadlocked.
+func TestProcessPanicKeepsValue(t *testing.T) {
+	boom := errors.New("boom")
+	env := NewEnv()
+	c := env.NewCond("c")
+	var bomb *Proc
+	bomb = env.Spawn("bomb", func(p *Proc) {
+		p.Wait(c)
+		p.Sleep(1 * Nanosecond)
+		panic(boom)
+	})
+	env.Spawn("signaler", func(p *Proc) {
+		p.Sleep(5 * Nanosecond)
+		c.Signal()
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Errorf("Run panicked with %v, want the original error value", r)
+			}
+		}()
+		env.Run()
+	}()
+	if bomb.state != stateDone {
+		t.Errorf("panicked process left in state %v, want done", bomb.state)
+	}
+	if d := env.Deadlocked(); len(d) != 0 {
+		t.Errorf("Deadlocked = %v after a panic, want none", d)
+	}
+}
+
+// TestRunFromAnotherGoroutine drives an environment from goroutines other
+// than the one that spawned its processes, as runner jobs do: processes
+// are spawned on the test goroutine, the first stretch runs on one worker
+// goroutine, and the coroutines it started are resumed to completion from
+// a second one.
+func TestRunFromAnotherGoroutine(t *testing.T) {
+	env := NewEnv()
+	c := env.NewCond("c")
+	var log []Time
+	env.Spawn("waiter", func(p *Proc) {
+		p.Wait(c)
+		log = append(log, p.Now())
+	})
+	env.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.Sleep(10 * Nanosecond)
+			log = append(log, p.Now())
+		}
+		c.Signal()
+	})
+	run := func(fn func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		<-done
+	}
+	run(func() { env.RunUntil(Time(15 * Nanosecond)) })
+	var end Time
+	run(func() { end = env.Run() })
+	want := []Time{10, 20, 30, 40, 40}
+	for i := range want {
+		want[i] *= Time(Nanosecond)
+	}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+	if end != Time(40*Nanosecond) {
+		t.Errorf("Run returned %v, want 40ns", end)
+	}
+}
+
+// TestCloseReleasesProcesses checks that Close unwinds every unfinished
+// process — blocked daemons, sleepers parked past a RunUntil deadline, and
+// processes never dispatched — running their deferred calls, and that the
+// goroutines backing their coroutines are gone afterwards.
+func TestCloseReleasesProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	for round := 0; round < 20; round++ {
+		env := NewEnv()
+		c := env.NewCond("work")
+		for i := 0; i < 8; i++ {
+			env.SpawnDaemon("engine", func(p *Proc) {
+				defer func() { unwound++ }()
+				for {
+					p.Wait(c)
+				}
+			})
+		}
+		env.Spawn("sleeper", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(Second)
+			t.Error("sleeper resumed past the RunUntil deadline")
+		})
+		env.RunUntil(Time(Microsecond))
+		env.Spawn("never", func(p *Proc) { t.Error("undispatched process ran") })
+		env.Close()
+		env.Close() // idempotent
+	}
+	if want := 20 * 9; unwound != want {
+		t.Errorf("%d deferred calls ran, want %d", unwound, want)
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after Close", before, after)
+	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {

@@ -282,15 +282,6 @@ type ReportSource interface {
 	Report() Report
 }
 
-// SimParSource is a ReportSource that can additionally expose the
-// parallel engine's bookkeeping. The stats ride the Observer side channel
-// rather than the Report because the Report is part of the byte-identical
-// artifact contract — a parallel run's Report must not differ from a
-// sequential run's.
-type SimParSource interface {
-	SimParStats() SimParStats
-}
-
 // Observer asks a workload to record observability data and deliver it
 // when the run completes. A nil *Observer disables everything at zero
 // cost: Cap reads 0 (so traces stay disabled) and Collect is a no-op that
@@ -302,11 +293,6 @@ type Observer struct {
 	// OnReport receives the run's Report. It may be called from scheduler
 	// worker goroutines, so it must be safe for concurrent use.
 	OnReport func(Report)
-	// OnSimPar receives the parallel engine's statistics when the source
-	// exposes them (benchmarks use this to report phase-batching ratios;
-	// see SimParSource). Called even for sequential runs — Enabled is
-	// false there.
-	OnSimPar func(SimParStats)
 }
 
 // Cap returns the requested trace capacity. Nil observers request zero.
@@ -322,11 +308,6 @@ func (o *Observer) Cap() int {
 func (o *Observer) Collect(src ReportSource) {
 	if o == nil || src == nil {
 		return
-	}
-	if o.OnSimPar != nil {
-		if sp, ok := src.(SimParSource); ok {
-			o.OnSimPar(sp.SimParStats())
-		}
 	}
 	if o.OnReport != nil {
 		o.OnReport(src.Report())

@@ -5,15 +5,14 @@ package sim
 //
 // The previous implementation was a container/heap over []event. Every
 // Push boxed the event into an interface{} and every Pop boxed it back,
-// which made the queue the simulator's dominant allocation site (87% of
-// all allocations in the sim-par scale-out profile) and put the GC on the
-// hot path of every short phase. This queue stores events by value in
+// which made the queue the simulator's dominant allocation site in the
+// multi-board scale-out profile. This queue stores events by value in
 // three typed areas and allocates only when a bucket or the overflow heap
 // grows beyond its high-water capacity:
 //
 //   - ring: qRingBuckets buckets of qGranule virtual time each, covering
-//     the window [base, base+qRingSpan). Sleep targets, phase joins, and
-//     phantom-cursor re-pushes land here: one append, no sift. Buckets
+//     the window [base, base+qRingSpan). Sleep targets and condition
+//     wakeups land here: one append, no sift. Buckets
 //     are unsorted; the head is the minimum (at, seq) of the first
 //     non-empty bucket, found by a short scan that resumes from the last
 //     known-empty prefix (scan only moves backward on a Push below it).
@@ -28,10 +27,10 @@ package sim
 //     the overflow can only supply the head by re-anchoring the ring when
 //     both early and ring are empty.
 //
-// Orderding is exactly the old heap's: strict (at, seq) lexicographic
+// Ordering is exactly the old heap's: strict (at, seq) lexicographic
 // minimum. The areas never change the comparison, only where the
 // candidates live, so swapping this queue in is invisible to the engine's
-// observable schedule — the byte-identity differential suites hold.
+// observable schedule — the golden artifacts hold byte for byte.
 //
 // The head position is cached between operations: Peek after Peek is two
 // loads, and the sequential Sleep fast path (which peeks on every sleep)
@@ -40,12 +39,12 @@ package sim
 
 const (
 	// qGranuleShift fixes the bucket width at 2^17 ps ≈ 131 ns: a few
-	// buckets per conservative lookahead window (825 ns), so a phase's
-	// worth of near events spreads over a handful of buckets.
+	// buckets per PCIe crossing (~825 ns), so a burst of near events
+	// spreads over a handful of buckets.
 	qGranuleShift = 17
 	qGranule      = Duration(1) << qGranuleShift
-	// qRingBuckets buckets cover ≈ 8.4 µs — comfortably past the
-	// lookahead window and the densest event clusters (instruction
+	// qRingBuckets buckets cover ≈ 8.4 µs — comfortably past a link
+	// crossing and the densest event clusters (instruction
 	// sleeps, link latencies), while DMA completions and coarse timers
 	// fall through to the overflow heap.
 	qRingBuckets = 64
@@ -237,23 +236,6 @@ func (q *eventQueue) migrate() {
 		b := int((ev.at - q.base) >> qGranuleShift)
 		q.ring[b] = append(q.ring[b], ev)
 		q.ringN++
-	}
-}
-
-// forEach visits every queued event in unspecified order. The callback
-// must not mutate the queue.
-func (q *eventQueue) forEach(fn func(*event)) {
-	for i := range q.early {
-		fn(&q.early[i])
-	}
-	for b := range q.ring {
-		bucket := q.ring[b]
-		for i := range bucket {
-			fn(&bucket[i])
-		}
-	}
-	for i := range q.ovf {
-		fn(&q.ovf[i])
 	}
 }
 

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // refQueue is the brute-force reference the two-level queue is checked
@@ -170,98 +168,4 @@ func TestQueueOverflowMigration(t *testing.T) {
 			t.Fatalf("pop %d: seq %d, want %d", i, ev.seq, wantSeq)
 		}
 	}
-}
-
-// TestQueueForEachVisitsAll checks the frozen-queue iterator against a
-// population spanning all three areas: every pushed event is visited
-// exactly once, with the queue left intact.
-func TestQueueForEachVisitsAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var q eventQueue
-	pushed := map[uint64]bool{}
-	q.Push(event{at: 1 << 25, seq: 0}) // anchor high so later pushes can go early
-	pushed[0] = true
-	for seq := uint64(1); seq < 200; seq++ {
-		at := Time(rng.Int63n(int64(1) << 30))
-		q.Push(event{at: at, seq: seq})
-		pushed[seq] = true
-	}
-	seen := map[uint64]int{}
-	q.forEach(func(ev *event) { seen[ev.seq]++ })
-	if len(seen) != len(pushed) {
-		t.Fatalf("forEach visited %d distinct events, pushed %d", len(seen), len(pushed))
-	}
-	for seq, n := range seen {
-		if n != 1 || !pushed[seq] {
-			t.Fatalf("event seq %d visited %d times (pushed: %v)", seq, n, pushed[seq])
-		}
-	}
-	if q.Len() != len(pushed) {
-		t.Fatalf("forEach mutated the queue: Len %d, want %d", q.Len(), len(pushed))
-	}
-}
-
-// TestSimParPhaseScratchReuse is the pool-hygiene property: the per-env
-// phase scratch (member slots, park table, queue-bound scratch) is sized
-// once at EnableSimPar and must be reused by every subsequent phase —
-// never regrown — and every member goroutine must be gone once Run
-// returns. A leaked member (stuck on its phase command channel) or a
-// scratch slice that regrows per phase fails here; run under -race this
-// also sweeps the handoff protocol for data races across many phases.
-func TestSimParPhaseScratchReuse(t *testing.T) {
-	const lookahead = 825 * Nanosecond
-	const domains = 4
-	before := runtime.NumGoroutine()
-
-	var phases uint64
-	for seed := int64(100); seed < 112; seed++ {
-		s := drawSimParSchedule(seed, domains, lookahead)
-		env := NewEnv(WithTraceCapacity(1 << 14))
-		env.EnableSimPar(domains, lookahead)
-		for d := range s.boards {
-			d := d
-			steps := s.boards[d]
-			env.Spawn("board", func(p *Proc) {
-				p.BeginCompute(d + 1)
-				for _, st := range steps {
-					p.Sleep(st.sleep)
-					if st.sync {
-						p.PhaseSync()
-					}
-				}
-				p.EndCompute()
-			})
-		}
-		env.Run()
-		st := env.SimParStats()
-		phases += st.Phases
-
-		if got := cap(env.phaseMembers); got != domains {
-			t.Fatalf("seed %d: phaseMembers capacity %d after %d phases, want the preallocated %d",
-				seed, got, st.Phases, domains)
-		}
-		if got := len(env.phaseMsgs); got != domains {
-			t.Fatalf("seed %d: phaseMsgs length %d, want %d", seed, got, domains)
-		}
-		if got := len(env.phaseState); got != domains {
-			t.Fatalf("seed %d: phaseState length %d, want %d", seed, got, domains)
-		}
-		if len(env.phaseMembers) != 0 {
-			t.Fatalf("seed %d: %d members still registered after Run", seed, len(env.phaseMembers))
-		}
-	}
-	if phases == 0 {
-		t.Fatal("no phase ever formed; the scratch reuse path was never exercised")
-	}
-
-	// Member goroutines park on private channels between rounds; any
-	// protocol bug that strands one keeps it alive past Run. Allow the
-	// runtime a moment to retire finished goroutines.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked across sim-par runs: %d before, %d after", before, runtime.NumGoroutine())
 }

@@ -122,6 +122,7 @@ func RunBFS(cfg BFSConfig) (BFSResult, error) {
 	if err != nil {
 		return BFSResult{}, err
 	}
+	defer sys.Close()
 	lay, err := loadGraph(sys, g)
 	if err != nil {
 		return BFSResult{}, err

@@ -87,6 +87,7 @@ func RunScaleOut(tasks, callsPerTask, boards int, policy string, p *platform.Par
 	if err != nil {
 		return 0, 0, err
 	}
+	defer sys.Close()
 	var started []*kernel.Task
 	for i := 0; i < tasks; i++ {
 		task, err := sys.Start("main", uint64(callsPerTask), uint64(i))

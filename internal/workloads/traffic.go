@@ -147,6 +147,7 @@ func RunTraffic(cfg TrafficConfig) (traffic.Result, error) {
 	if err != nil {
 		return traffic.Result{}, err
 	}
+	defer sys.Close()
 
 	// Admit each task at its scheduled virtual time. The timer callbacks
 	// run in scheduler context in (time, seq) order — seq is assigned here
