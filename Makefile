@@ -36,8 +36,8 @@ lint-isa:
 	@echo "lint-isa: clean"
 
 # Golden byte-identity gate: the three-ISA artifacts (plain, 3-board
-# scale-out, faulted) and the open-loop traffic sweep must match
-# testdata/golden/ byte for byte.
+# scale-out, faulted), the fault-free Table IV run and the open-loop
+# traffic sweep must match testdata/golden/ byte for byte.
 golden:
 	$(GO) build -o /tmp/flicksim-golden ./cmd/flicksim
 	@dir=$$(mktemp -d) && cd $$dir && \
@@ -45,9 +45,10 @@ golden:
 	/tmp/flicksim-golden -quiet -boards 3 -metrics-out scaleout-b3.metrics.json scaleout > scaleout-b3.txt && \
 	/tmp/flicksim-golden -quiet -faults 'dma.fail=0.05,msi.drop=0.1,dma.dup=0.05' -fault-seed 7 \
 		-metrics-out fault.metrics.json fig5a table4 > fault.txt && \
+	/tmp/flicksim-golden -quiet -metrics-out table4.metrics.json table4 > table4.txt && \
 	/tmp/flicksim-golden -quiet -boards 2 -duration 4ms traffic > traffic-b2.txt && \
 	cd - >/dev/null && \
-	for f in fig5a.txt fig5a.metrics.json scaleout-b3.txt scaleout-b3.metrics.json fault.txt fault.metrics.json traffic-b2.txt; do \
+	for f in fig5a.txt fig5a.metrics.json scaleout-b3.txt scaleout-b3.metrics.json fault.txt fault.metrics.json table4.txt table4.metrics.json traffic-b2.txt; do \
 		diff -u testdata/golden/$$f $$dir/$$f || exit 1; \
 	done && rm -rf $$dir && echo "golden: all artifacts byte-identical"
 
