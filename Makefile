@@ -52,15 +52,21 @@ golden:
 		diff -u testdata/golden/$$f $$dir/$$f || exit 1; \
 	done && rm -rf $$dir && echo "golden: all artifacts byte-identical"
 
+# The hot-loop benchmarks recorded in BENCH_hotloop.json: steady-state
+# Step per ISA, the simulated data path (interpreter loads/stores and the
+# native word accessor), the MMU's translate hit path and the scale-out
+# sweep.
+HOTLOOP_BENCH = BenchmarkScaleOut$$|BenchmarkCoreStep|BenchmarkDataAccess|BenchmarkTranslateHit
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleOut$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
+	$(GO) test -run '^$$' -bench '$(HOTLOOP_BENCH)' -benchmem -json \
 		./internal/cpu ./internal/mmu . > BENCH_hotloop.json
 
-# Hot-loop perf trajectory: re-run the steady-state Step/Translate
+# Hot-loop perf trajectory: re-run the steady-state Step/data-path/Translate
 # benchmarks and refresh the checked-in record (see docs/PERFORMANCE.md).
 bench-hotloop:
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleOut$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
+	$(GO) test -run '^$$' -bench '$(HOTLOOP_BENCH)' -benchmem -json \
 		./internal/cpu ./internal/mmu . > BENCH_hotloop.json
 
 # Bench regression gate: re-run the hot-loop benchmarks into a scratch
@@ -69,7 +75,7 @@ bench-hotloop:
 # `make bench-hotloop` after a deliberate perf change.
 bench-check:
 	@tmp=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleOut$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
+	$(GO) test -run '^$$' -bench '$(HOTLOOP_BENCH)' -benchmem -json \
 		./internal/cpu ./internal/mmu . > $$tmp && \
 	$(GO) run ./cmd/benchcheck BENCH_hotloop.json $$tmp; \
 	st=$$?; rm -f $$tmp; exit $$st

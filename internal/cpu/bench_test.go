@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"errors"
 	"testing"
 
 	"flick/internal/asm"
@@ -21,6 +22,7 @@ type benchRig struct {
 	env  *sim.Env
 	core *cpu.Core
 	ctx  *cpu.Context
+	syms map[string]uint64
 }
 
 // benchSrc returns a never-terminating two-instruction loop for the ISA
@@ -42,13 +44,56 @@ loop:
 `
 }
 
-// buildBenchRig assembles the loop and wires the minimal platform around
-// one core: identity-mapped pages, 64-entry TLBs, a 10 ns walk cost, an
-// I-cache with a fill cost, and tagged execution for the DSP (which has
-// no NX polarity of its own).
+// dataSrc returns a never-terminating loop for the ISA whose body is the
+// interpreter's whole data path — ld8/st8/ld1/st1 against the buffer a2
+// points at, then a push/pop pair on the stack — closed by the same
+// counted branch as benchSrc's spin loop.
+func dataSrc(is isa.ISA) string {
+	return `
+.func main isa=host
+    ret
+.endfunc
+.func dloop isa=` + is.String() + `
+loop:
+    ld8  t0, [a2+0]
+    st8  t0, [a2+8]
+    ld1  t1, [a2+16]
+    st1  t1, [a2+17]
+    push t0
+    pop  t1
+    addi a0, a0, 1
+    bne  a0, a1, loop
+    ret
+.endfunc
+.data dbuf isa=host
+    .zero 256
+.enddata
+`
+}
+
+// buildBenchRig assembles the spin loop and wires the minimal platform
+// around one core: identity-mapped pages, 64-entry TLBs, a 10 ns walk
+// cost, an I-cache with a fill cost, and tagged execution for the DSP
+// (which has no NX polarity of its own).
 func buildBenchRig(tb testing.TB, is isa.ISA) *benchRig {
+	return buildRig(tb, is, benchSrc(is), "spin")
+}
+
+// buildDataRig is buildBenchRig around dataSrc's loop: a2 points at the
+// data buffer and the stack is its top half, so every access hits one
+// writable data page.
+func buildDataRig(tb testing.TB, is isa.ISA) (*benchRig, uint64) {
+	rig := buildRig(tb, is, dataSrc(is), "dloop")
+	buf := rig.syms["dbuf"]
+	rig.ctx.SetReg(isa.A2, buf)
+	rig.ctx.SetReg(isa.SP, buf+256)
+	return rig, buf
+}
+
+// buildRig assembles src and enters it at the entry symbol.
+func buildRig(tb testing.TB, is isa.ISA, src, entry string) *benchRig {
 	tb.Helper()
-	obj, err := asm.Assemble("bench.fasm", benchSrc(is))
+	obj, err := asm.Assemble("bench.fasm", src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -105,20 +150,24 @@ func buildBenchRig(tb testing.TB, is isa.ISA) *benchRig {
 		ICacheLines: 64,
 	})
 
-	ctx := &cpu.Context{PC: im.Symbols["spin"]}
+	ctx := &cpu.Context{PC: im.Symbols[entry]}
 	ctx.SetReg(isa.A1, ^uint64(0))
 	core.SetContext(ctx)
-	return &benchRig{env: env, core: core, ctx: ctx}
+	return &benchRig{env: env, core: core, ctx: ctx, syms: im.Symbols}
 }
 
 // benchCoreStep measures steady-state per-instruction wall-clock for one
 // ISA. One Step may retire a whole chained superblock run, so the loop
 // counts retired instructions rather than Step calls: ns/op stays
 // per-simulated-instruction and comparable across the interpreter's
-// generations (with FLICKSIM_NOPREDECODE=1 each Step retires exactly one
+// generations (with FLICKSIM_NOSUPERBLOCK=1 each Step retires exactly one
 // instruction and this reduces to the old Step-counting loop).
 func benchCoreStep(b *testing.B, is isa.ISA) {
-	rig := buildBenchRig(b, is)
+	benchSteps(b, buildBenchRig(b, is))
+}
+
+// benchSteps times the rig's core per retired instruction after a warm-up.
+func benchSteps(b *testing.B, rig *benchRig) {
 	var stepErr error
 	rig.env.Spawn("bench", func(p *sim.Proc) {
 		// Warm the TLB, I-cache, and superblock cache out of the timed
@@ -151,11 +200,11 @@ func BenchmarkCoreStep(b *testing.B) {
 }
 
 // TestStepZeroAllocs pins the tentpole's allocation contract: the
-// steady-state Step path — predecode hit, MRU translation, in-place
+// steady-state Step path — superblock hit, MRU translation, in-place
 // sleep — must not allocate at all.
 func TestStepZeroAllocs(t *testing.T) {
 	if sim.FastPathsDisabled() {
-		t.Skip("FLICKSIM_NOPREDECODE set: slow path makes no allocation promise")
+		t.Skip("FLICKSIM_NOSUPERBLOCK set: slow path makes no allocation promise")
 	}
 	for _, be := range isa.All() {
 		is := be.ISA()
@@ -186,11 +235,11 @@ func TestStepZeroAllocs(t *testing.T) {
 }
 
 // TestBenchRigUsesPredecode guards the benchmark's premise: the warmed
-// rig must actually be hitting the predecode cache, otherwise the
+// rig must actually be hitting the superblock cache, otherwise the
 // numbers in BENCH_hotloop.json measure the wrong path.
 func TestBenchRigUsesPredecode(t *testing.T) {
 	if sim.FastPathsDisabled() {
-		t.Skip("FLICKSIM_NOPREDECODE set")
+		t.Skip("FLICKSIM_NOSUPERBLOCK set")
 	}
 	rig := buildBenchRig(t, isa.ISAHost)
 	var stepErr error
@@ -203,8 +252,85 @@ func TestBenchRigUsesPredecode(t *testing.T) {
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
-	hits, fills, _ := rig.core.PredecodeStats()
+	hits, fills, _ := rig.core.SuperblockStats()
 	if fills == 0 || hits < 90 {
-		t.Errorf("predecode hits=%d fills=%d; benchmark would not measure the fast path", hits, fills)
+		t.Errorf("superblock hits=%d fills=%d; benchmark would not measure the fast path", hits, fills)
+	}
+}
+
+// BenchmarkDataAccess times the simulated data path on every ISA: the
+// interpreter running dataSrc's load/store/push/pop loop (ns per retired
+// instruction), and a native function's ReadU64Virt of warm board-style
+// memory (ns per read) — the access the Table IV BFS kernel makes.
+func BenchmarkDataAccess(b *testing.B) {
+	for _, be := range isa.All() {
+		is := be.ISA()
+		b.Run(be.Name()+"/interp", func(b *testing.B) {
+			rig, _ := buildDataRig(b, is)
+			benchSteps(b, rig)
+		})
+		b.Run(be.Name()+"/read-u64-virt", func(b *testing.B) {
+			rig, buf := buildDataRig(b, is)
+			var err error
+			rig.env.Spawn("bench", func(p *sim.Proc) {
+				if _, err = rig.core.ReadU64Virt(p, buf); err != nil {
+					return
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N && err == nil; i++ {
+					_, err = rig.core.ReadU64Virt(p, buf+uint64(i%32)*8)
+				}
+				b.StopTimer()
+			})
+			rig.env.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDataAccessZeroAllocs extends TestStepZeroAllocs to the data path:
+// steady-state loads, stores, pushes and pops in the interpreter, and the
+// native word and byte accessors, must not allocate on any ISA.
+func TestDataAccessZeroAllocs(t *testing.T) {
+	if sim.FastPathsDisabled() {
+		t.Skip("FLICKSIM_NOSUPERBLOCK set: slow path makes no allocation promise")
+	}
+	for _, be := range isa.All() {
+		is := be.ISA()
+		rig, buf := buildDataRig(t, is)
+		var err error
+		var step, native float64
+		rig.env.Spawn("alloc", func(p *sim.Proc) {
+			for i := 0; i < 64 && err == nil; i++ {
+				err = rig.core.Step(p)
+			}
+			if err != nil {
+				return
+			}
+			step = testing.AllocsPerRun(200, func() {
+				if e := rig.core.Step(p); e != nil {
+					err = e
+				}
+			})
+			native = testing.AllocsPerRun(200, func() {
+				v, e1 := rig.core.ReadU64Virt(p, buf+32)
+				e2 := rig.core.WriteU64Virt(p, buf+40, v+1)
+				b, e3 := rig.core.ReadU8Virt(p, buf+48)
+				e4 := rig.core.WriteU8Virt(p, buf+49, b+1)
+				if e := errors.Join(e1, e2, e3, e4); e != nil {
+					err = e
+				}
+			})
+		})
+		rig.env.Run()
+		if err != nil {
+			t.Fatalf("%v: %v", is, err)
+		}
+		if step != 0 || native != 0 {
+			t.Errorf("%v: %v allocs per data-loop Step and %v per native access round, want 0", is, step, native)
+		}
 	}
 }

@@ -79,11 +79,11 @@ type Config struct {
 	// set) at the current PC — the fault-injection hook for exercising
 	// stale-TLB recovery paths.
 	SpuriousFault func() bool
-	// NoPredecode disables the superblock cache for this core (the name
-	// survives from the predecode cache it replaced). The
-	// FLICKSIM_NOPREDECODE environment variable disables it process-wide
-	// (see docs/PERFORMANCE.md); results are byte-identical either way.
-	NoPredecode bool
+	// NoSuperblocks disables the superblock cache for this core. The
+	// FLICKSIM_NOSUPERBLOCK environment variable disables it process-wide,
+	// with the other hot-loop fast paths (see docs/PERFORMANCE.md);
+	// results are byte-identical either way.
+	NoSuperblocks bool
 }
 
 // Core is one simulated processor. It executes whatever Context is
@@ -92,7 +92,7 @@ type Core struct {
 	cfg    Config
 	codec  isa.Backend
 	icache *icache
-	pd     *sbCache // nil when disabled (Config.NoPredecode / escape hatch)
+	pd     *sbCache // nil when disabled (Config.NoSuperblocks / escape hatch)
 
 	ctx    *Context
 	halted bool
@@ -134,7 +134,7 @@ func New(cfg Config) *Core {
 	if cfg.ICacheLines > 0 {
 		c.icache = newICache(cfg.ICacheLines)
 	}
-	if !cfg.NoPredecode && !sim.FastPathsDisabled() {
+	if !cfg.NoSuperblocks && !sim.FastPathsDisabled() {
 		c.pd = newSBCache(c.codec)
 	}
 	return c
@@ -182,30 +182,28 @@ func (c *Core) SetFaultHandler(h FaultHandler) { c.cfg.Fault = h }
 func (c *Core) SetSysHandler(h SysHandler) { c.cfg.Sys = h }
 
 // InvalidateICache drops all cached instruction lines (used by the loader
-// after writing code pages) and, with them, the predecode cache.
+// after writing code pages) and, with them, the superblock cache.
 func (c *Core) InvalidateICache() {
 	if c.icache != nil {
 		c.icache.flush()
 	}
-	c.InvalidatePredecode()
+	c.InvalidateSuperblocks()
 }
 
-// InvalidatePredecode drops every cached superblock. Content changes
+// InvalidateSuperblocks drops every cached superblock. Content changes
 // are caught automatically by the code-generation watch; this explicit
 // hook exists for the events that deserve a conservative drop regardless
 // — I-cache invalidation and TLB shootdown fan-out.
-func (c *Core) InvalidatePredecode() {
+func (c *Core) InvalidateSuperblocks() {
 	if c.pd != nil {
 		c.pd.flush()
 	}
 }
 
-// PredecodeStats reports the superblock cache's lifetime hit/fill/flush
-// counts (zeros when disabled; the name survives from the PR 5
-// per-instruction predecode cache this grew out of). Test-only
-// visibility: deliberately not registered as metrics so the metrics JSON
+// SuperblockStats reports the superblock cache's lifetime hit/fill/flush
+// counts (zeros when disabled). Test-only visibility: deliberately not registered as metrics so the metrics JSON
 // stays identical with the cache on or off.
-func (c *Core) PredecodeStats() (hits, fills, flushes uint64) {
+func (c *Core) SuperblockStats() (hits, fills, flushes uint64) {
 	if c.pd == nil {
 		return 0, 0, 0
 	}

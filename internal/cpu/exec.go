@@ -284,13 +284,9 @@ func execLoad(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 	ctx := c.ctx
 	size := 1 << (ins.Op - isa.OpLd1)
 	va := ctx.Reg(ins.Rs) + uint64(ins.Imm)
-	var buf [8]byte
-	if err := c.readVirt(p, va, buf[:size]); err != nil {
+	v, err := c.wordVirt(p, va, size, false, 0)
+	if err != nil {
 		return c.dataFault(p, err, va)
-	}
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(buf[i]) << (8 * i)
 	}
 	ctx.SetReg(ins.Rd, v)
 	ctx.PC = next
@@ -301,12 +297,7 @@ func execStore(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 	ctx := c.ctx
 	size := 1 << (ins.Op - isa.OpSt1)
 	va := ctx.Reg(ins.Rd) + uint64(ins.Imm)
-	v := ctx.Reg(ins.Rs)
-	var buf [8]byte
-	for i := 0; i < size; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	if err := c.writeVirt(p, va, buf[:size]); err != nil {
+	if _, err := c.wordVirt(p, va, size, true, ctx.Reg(ins.Rs)); err != nil {
 		return c.dataFault(p, err, va)
 	}
 	ctx.PC = next
@@ -316,12 +307,7 @@ func execStore(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 func execPush(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 	ctx := c.ctx
 	sp := ctx.Reg(isa.SP) - 8
-	var buf [8]byte
-	v := ctx.Reg(ins.Rs)
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
-	if err := c.writeVirt(p, sp, buf[:]); err != nil {
+	if _, err := c.wordVirt(p, sp, 8, true, ctx.Reg(ins.Rs)); err != nil {
 		return c.dataFault(p, err, sp)
 	}
 	ctx.SetReg(isa.SP, sp)
@@ -332,13 +318,9 @@ func execPush(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 func execPop(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 	ctx := c.ctx
 	sp := ctx.Reg(isa.SP)
-	var buf [8]byte
-	if err := c.readVirt(p, sp, buf[:]); err != nil {
+	v, err := c.wordVirt(p, sp, 8, false, 0)
+	if err != nil {
 		return c.dataFault(p, err, sp)
-	}
-	var v uint64
-	for i := range buf {
-		v |= uint64(buf[i]) << (8 * i)
 	}
 	ctx.SetReg(ins.Rd, v)
 	ctx.SetReg(isa.SP, sp+8)
@@ -460,79 +442,114 @@ func (c *Core) dataFault(p *sim.Proc, err error, va uint64) error {
 	return c.deliver(p, f)
 }
 
-// readVirt reads len(buf) bytes from virtual address va, charging
-// translation and access costs; accesses may straddle page boundaries.
-func (c *Core) readVirt(p *sim.Proc, va uint64, buf []byte) error {
-	return c.accessVirt(p, va, buf, false)
+// dataPiece starts a data access of want bytes at virtual address va:
+// it translates va through the DMMU, checks write permission, and charges
+// the access cost of the piece that fits on va's page. It returns that
+// piece's physical address and length. Both access paths below take
+// each page piece through it, so their virtual time and MMU/TLB counters
+// are the same by construction.
+func (c *Core) dataPiece(p *sim.Proc, va uint64, want int, write bool) (uint64, int, error) {
+	r, err := c.cfg.DMMU.Translate(p, va)
+	if err != nil {
+		return 0, 0, err
+	}
+	if write && !r.Flags.Writable {
+		return 0, 0, &Fault{Kind: FaultDataProtection, ISA: c.cfg.ISA, VA: va, PC: c.ctx.PC}
+	}
+	n := want
+	if pageRemain := r.PageSize - (va & (r.PageSize - 1)); uint64(n) > pageRemain {
+		n = int(pageRemain)
+	}
+	if c.cfg.AccessCost != nil {
+		p.Sleep(c.cfg.AccessCost(r.Phys, n, write))
+	}
+	return r.Phys, n, nil
 }
 
-// writeVirt writes buf to virtual address va.
-func (c *Core) writeVirt(p *sim.Proc, va uint64, buf []byte) error {
-	return c.accessVirt(p, va, buf, true)
-}
-
+// accessVirt reads (or writes) len(buf) bytes at virtual address va,
+// charging translation and access costs; accesses may straddle page
+// boundaries. It is the byte-slice path behind ReadVirt/WriteVirt.
 func (c *Core) accessVirt(p *sim.Proc, va uint64, buf []byte, write bool) error {
 	for len(buf) > 0 {
-		r, err := c.cfg.DMMU.Translate(p, va)
+		pa, n, err := c.dataPiece(p, va, len(buf), write)
 		if err != nil {
 			return err
 		}
-		if write && !r.Flags.Writable {
-			return &Fault{Kind: FaultDataProtection, ISA: c.cfg.ISA, VA: va, PC: c.ctx.PC}
-		}
-		pageRemain := r.PageSize - (va & (r.PageSize - 1))
-		n := uint64(len(buf))
-		if n > pageRemain {
-			n = pageRemain
-		}
-		if c.cfg.AccessCost != nil {
-			p.Sleep(c.cfg.AccessCost(r.Phys, int(n), write))
-		}
-		var aerr error
 		if write {
-			aerr = c.cfg.Phys.Write(r.Phys, buf[:n])
+			err = c.cfg.Phys.Write(pa, buf[:n])
 		} else {
-			aerr = c.cfg.Phys.Read(r.Phys, buf[:n])
+			err = c.cfg.Phys.Read(pa, buf[:n])
 		}
-		if aerr != nil {
-			return aerr
+		if err != nil {
+			return err
 		}
 		buf = buf[n:]
-		va += n
+		va += uint64(n)
 	}
 	return nil
 }
 
+// wordVirt is accessVirt for one size-byte (1..8) little-endian word held
+// in a register instead of a buffer: it returns the loaded value, or
+// stores v. Every interpreter load/store and native word accessor runs
+// through it. With no buffer to hand the Device interface it allocates
+// nothing. A page-straddling word carries on from the translation it
+// already has into the next page, exactly as accessVirt does.
+func (c *Core) wordVirt(p *sim.Proc, va uint64, size int, write bool, v uint64) (uint64, error) {
+	var out uint64
+	for shift := 0; size > 0; {
+		pa, n, err := c.dataPiece(p, va, size, write)
+		if err != nil {
+			return 0, err
+		}
+		if write {
+			err = c.cfg.Phys.Store(pa, n, v>>shift)
+		} else {
+			var w uint64
+			w, err = c.cfg.Phys.Load(pa, n)
+			out |= w << shift
+		}
+		if err != nil {
+			return 0, err
+		}
+		size -= n
+		va += uint64(n)
+		shift += 8 * n
+	}
+	return out, nil
+}
+
 // ReadVirt exposes timed virtual-memory reads to native functions.
 func (c *Core) ReadVirt(p *sim.Proc, va uint64, buf []byte) error {
-	return c.readVirt(p, va, buf)
+	return c.accessVirt(p, va, buf, false)
 }
 
 // WriteVirt exposes timed virtual-memory writes to native functions.
 func (c *Core) WriteVirt(p *sim.Proc, va uint64, buf []byte) error {
-	return c.writeVirt(p, va, buf)
+	return c.accessVirt(p, va, buf, true)
 }
 
 // ReadU64Virt reads a 64-bit little-endian word at va with timing.
 func (c *Core) ReadU64Virt(p *sim.Proc, va uint64) (uint64, error) {
-	var buf [8]byte
-	if err := c.readVirt(p, va, buf[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := range buf {
-		v |= uint64(buf[i]) << (8 * i)
-	}
-	return v, nil
+	return c.wordVirt(p, va, 8, false, 0)
 }
 
 // WriteU64Virt writes a 64-bit little-endian word at va with timing.
 func (c *Core) WriteU64Virt(p *sim.Proc, va, v uint64) error {
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
-	return c.writeVirt(p, va, buf[:])
+	_, err := c.wordVirt(p, va, 8, true, v)
+	return err
+}
+
+// ReadU8Virt reads one byte at va with timing.
+func (c *Core) ReadU8Virt(p *sim.Proc, va uint64) (uint8, error) {
+	v, err := c.wordVirt(p, va, 1, false, 0)
+	return uint8(v), err
+}
+
+// WriteU8Virt writes one byte at va with timing.
+func (c *Core) WriteU8Virt(p *sim.Proc, va uint64, v uint8) error {
+	_, err := c.wordVirt(p, va, 1, true, uint64(v))
+	return err
 }
 
 // ChargeCycles lets native functions account for their simulated work.

@@ -17,7 +17,7 @@ import (
 // straight into the already-decoded target block.
 //
 // Everything here is wall-clock-only: virtual time, metrics, and traces
-// must stay byte-identical to FLICKSIM_NOPREDECODE=1 (which disables the
+// must stay byte-identical to FLICKSIM_NOSUPERBLOCK=1 (which disables the
 // cache entirely at Core construction). The mechanisms that guarantee
 // that are spelled out at each site; the load-bearing ones are:
 //
@@ -91,9 +91,9 @@ type pdSrc struct {
 }
 
 // sbCache is the per-core, physically-tagged, direct-mapped block cache.
-// The Core field keeping the historical name pd, and the hit/fill/flush
-// counters keeping their PredecodeStats meaning, is deliberate: the
-// invalidation contract (and its test suite) carries over unchanged.
+// It grew out of a per-instruction predecode cache; the Core field keeps
+// that cache's name, pd, and the invalidation contract (and its test
+// suite) carries over unchanged.
 type sbCache struct {
 	entries [sbEntries]*superblock
 	shift   uint // log2 of the codec's instruction alignment

@@ -19,7 +19,7 @@ import (
 
 // smcSrc pairs two same-shape host functions so self-modifying-code tests
 // can overwrite f with g's bytes and observe which version executes: a
-// stale predecode entry keeps returning 1 where fresh decode returns 2.
+// stale superblock entry keeps returning 1 where fresh decode returns 2.
 const smcSrc = `
 .func main isa=host
     halt
@@ -62,7 +62,7 @@ func smcRun(m *machine, p *sim.Proc, fVA uint64) (uint64, error) {
 
 // TestPredecodeInvalidatedByLoaderWrite overwrites live code through the
 // physical address space — the kernel loader's path — and checks the next
-// execution decodes the new bytes. The predecode cache must notice via
+// execution decodes the new bytes. The superblock cache must notice via
 // the code-generation watch; no one calls InvalidateICache here.
 func TestPredecodeInvalidatedByLoaderWrite(t *testing.T) {
 	m := buildMachine(t, smcSrc)
@@ -89,15 +89,15 @@ func TestPredecodeInvalidatedByLoaderWrite(t *testing.T) {
 		t.Fatalf("f returned %d then %d before the write, want 1", got[0], got[1])
 	}
 	if got[2] != 2 {
-		t.Errorf("f returned %d after the loader write, want 2 (stale predecode)", got[2])
+		t.Errorf("f returned %d after the loader write, want 2 (stale superblock)", got[2])
 	}
 	if !sim.FastPathsDisabled() {
-		hits, fills, flushes := m.host.PredecodeStats()
+		hits, fills, flushes := m.host.SuperblockStats()
 		if fills == 0 || hits == 0 {
-			t.Errorf("predecode hits=%d fills=%d: the test never exercised the cache", hits, fills)
+			t.Errorf("superblock hits=%d fills=%d: the test never exercised the cache", hits, fills)
 		}
 		if flushes == 0 {
-			t.Error("code write did not flush the predecode cache")
+			t.Error("code write did not flush the superblock cache")
 		}
 	}
 }
@@ -143,11 +143,11 @@ func TestPredecodeInvalidatedByDMAWrite(t *testing.T) {
 		t.Fatalf("f returned %d before the DMA write, want 1", before)
 	}
 	if after != 2 {
-		t.Errorf("f returned %d after the DMA write, want 2 (stale predecode)", after)
+		t.Errorf("f returned %d after the DMA write, want 2 (stale superblock)", after)
 	}
 	if !sim.FastPathsDisabled() {
-		if _, _, flushes := m.host.PredecodeStats(); flushes == 0 {
-			t.Error("DMA code write did not flush the predecode cache")
+		if _, _, flushes := m.host.SuperblockStats(); flushes == 0 {
+			t.Error("DMA code write did not flush the superblock cache")
 		}
 	}
 }
@@ -265,7 +265,7 @@ func TestMidBlockInvalidationLoaderWrite(t *testing.T) {
 		t.Errorf("loop added %d to a2 after the mid-block write, want 8 (stale superblock)", a2[2])
 	}
 	if !sim.FastPathsDisabled() {
-		hits, fills, flushes := m.host.PredecodeStats()
+		hits, fills, flushes := m.host.SuperblockStats()
 		if fills == 0 || hits == 0 {
 			t.Errorf("superblock hits=%d fills=%d: the loop never executed from the cache", hits, fills)
 		}
@@ -321,20 +321,20 @@ func TestMidBlockInvalidationDMAWrite(t *testing.T) {
 		t.Errorf("loop added %d to a2 after the mid-block DMA write, want 8 (stale superblock)", after)
 	}
 	if !sim.FastPathsDisabled() {
-		if _, _, flushes := m.host.PredecodeStats(); flushes == 0 {
+		if _, _, flushes := m.host.SuperblockStats(); flushes == 0 {
 			t.Error("mid-block DMA write did not flush the superblock cache")
 		}
 	}
 }
 
 // TestShootdownDropsChainedBlock pins the explicit-drop path at block
-// granularity: InvalidatePredecode — what the TLB shootdown fan-out and
+// granularity: InvalidateSuperblocks — what the TLB shootdown fan-out and
 // InvalidateICache call on every core (reach across boards 1..3 is
 // covered by the platform suite) — must drop an already-chained hot
 // block, forcing a rebuild on the next execution.
 func TestShootdownDropsChainedBlock(t *testing.T) {
 	if sim.FastPathsDisabled() {
-		t.Skip("FLICKSIM_NOPREDECODE set")
+		t.Skip("FLICKSIM_NOSUPERBLOCK set")
 	}
 	m := buildMachine(t, midSrc)
 	fVA := m.image.Symbols["f"]
@@ -346,10 +346,10 @@ func TestShootdownDropsChainedBlock(t *testing.T) {
 				return
 			}
 		}
-		_, fillsBefore, flushesBefore := m.host.PredecodeStats()
-		m.host.InvalidatePredecode()
-		if _, _, flushes := m.host.PredecodeStats(); flushes != flushesBefore+1 {
-			t.Errorf("flushes %d -> %d after InvalidatePredecode, want +1", flushesBefore, flushes)
+		_, fillsBefore, flushesBefore := m.host.SuperblockStats()
+		m.host.InvalidateSuperblocks()
+		if _, _, flushes := m.host.SuperblockStats(); flushes != flushesBefore+1 {
+			t.Errorf("flushes %d -> %d after InvalidateSuperblocks, want +1", flushesBefore, flushes)
 		}
 		var a2 uint64
 		if _, a2, runErr = midRun(m, p, fVA); runErr != nil {
@@ -358,7 +358,7 @@ func TestShootdownDropsChainedBlock(t *testing.T) {
 		if a2 != 4 {
 			t.Errorf("loop added %d to a2 after the drop, want 4", a2)
 		}
-		if _, fills, _ := m.host.PredecodeStats(); fills <= fillsBefore {
+		if _, fills, _ := m.host.SuperblockStats(); fills <= fillsBefore {
 			t.Errorf("fills %d -> %d after the drop; the chained block was not rebuilt", fillsBefore, fills)
 		}
 	})
@@ -376,7 +376,7 @@ func TestShootdownDropsChainedBlock(t *testing.T) {
 // rest) — and content watching must see no writes.
 func TestCmpDenseLoopHitRate(t *testing.T) {
 	if sim.FastPathsDisabled() {
-		t.Skip("FLICKSIM_NOPREDECODE set")
+		t.Skip("FLICKSIM_NOSUPERBLOCK set")
 	}
 	rig := buildBenchRig(t, isa.ISACmp)
 	var stepErr error
@@ -393,7 +393,7 @@ func TestCmpDenseLoopHitRate(t *testing.T) {
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
-	hits, fills, flushes := rig.core.PredecodeStats()
+	hits, fills, flushes := rig.core.SuperblockStats()
 	if fills == 0 {
 		t.Fatal("dense cmp loop never filled the superblock cache")
 	}
@@ -505,15 +505,15 @@ func TestPredecodePhysicallyTaggedAcrossSetTables(t *testing.T) {
 		t.Fatalf("f returned %d then %d under tables1, want 1", got[0], got[1])
 	}
 	if got[2] != 2 {
-		t.Errorf("f returned %d under tables2, want 2 (predecode served a stale virtual mapping)", got[2])
+		t.Errorf("f returned %d under tables2, want 2 (the superblock cache served a stale virtual mapping)", got[2])
 	}
 	if !sim.FastPathsDisabled() {
-		hits, fills, flushes := core.PredecodeStats()
+		hits, fills, flushes := core.SuperblockStats()
 		if fills == 0 || hits == 0 {
-			t.Errorf("predecode hits=%d fills=%d: the test never exercised the cache", hits, fills)
+			t.Errorf("superblock hits=%d fills=%d: the test never exercised the cache", hits, fills)
 		}
 		if flushes != 0 {
-			t.Errorf("%d predecode flushes across SetTables; physical tagging should need none", flushes)
+			t.Errorf("%d superblock flushes across SetTables; physical tagging should need none", flushes)
 		}
 	}
 }

@@ -371,7 +371,7 @@ func Fig5b(o Options) (*stats.Chart, error) {
 
 // Table4 reproduces "BFS datasets and execution time". Each (dataset,
 // mode) cell is one job; the two modes of a dataset share a derived seed
-// so they traverse the same synthetic graph.
+// and traverse the same synthetic graph, generated once for the row.
 func Table4(o Options) (*stats.Table, []workloads.Table4Row, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -384,6 +384,7 @@ func Table4(o Options) (*stats.Table, []workloads.Table4Row, error) {
 		ds := d.Scale(o.BFSScale)
 		scaled[di] = ds
 		seed := runner.DeriveSeed(o.Seed, uint64(di))
+		graph := workloads.ShareBFSGraph(ds, seed, 2)
 		for _, baselineMode := range []bool{true, false} {
 			mode, bm := "flick", baselineMode
 			if bm {
@@ -399,6 +400,7 @@ func Table4(o Options) (*stats.Table, []workloads.Table4Row, error) {
 				Run: func(context.Context) (sim.Duration, error) {
 					r, err := workloads.RunBFS(workloads.BFSConfig{
 						Dataset: ds, Iterations: o.BFSIters, Baseline: bm, Seed: seed, Params: params, Obs: obs,
+						Graph: graph,
 					})
 					if err != nil {
 						return 0, err

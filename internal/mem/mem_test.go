@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,72 @@ func TestSparseRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSparseWordMatchesReadWriteAt pins LoadWord/StoreWord to the
+// byte-slice ReadAt/WriteAt they stand in for: same value, same bytes
+// stored, same granules materialized and same code-generation bumps, at
+// every size and at offsets inside a granule, at its edges and straddling
+// two.
+func TestSparseWordMatchesReadWriteAt(t *testing.T) {
+	const size = 4 * chunkSize
+	offsets := []uint64{0, 5, chunkSize - 8, chunkSize - 3, chunkSize - 1, chunkSize, 2*chunkSize + 100, size - 8}
+	const v = 0x8877_6655_4433_2211
+	for _, off := range offsets {
+		for n := 1; n <= 8; n++ {
+			// Two identical stores: granule 0 holds a pattern and is
+			// watched as code, the rest start unmaterialized.
+			mk := func() *Sparse {
+				s := NewSparse(size)
+				pat := make([]byte, chunkSize)
+				for i := range pat {
+					pat[i] = byte(i*13 + 1)
+				}
+				s.WriteAt(0, pat)
+				s.WatchCode(0, chunkSize)
+				return s
+			}
+			ref, word := mk(), mk()
+
+			var buf [8]byte
+			ref.ReadAt(off, buf[:n])
+			if got, want := word.LoadWord(off, n), binary.LittleEndian.Uint64(buf[:]); got != want {
+				t.Errorf("LoadWord(%#x, %d) = %#x, ReadAt gives %#x", off, n, got, want)
+			}
+			if word.AllocatedBytes() != ref.AllocatedBytes() {
+				t.Errorf("LoadWord(%#x, %d) materialized %d bytes, ReadAt %d", off, n, word.AllocatedBytes(), ref.AllocatedBytes())
+			}
+
+			binary.LittleEndian.PutUint64(buf[:], v)
+			ref.WriteAt(off, buf[:n])
+			word.StoreWord(off, n, v)
+			if word.CodeGen() != ref.CodeGen() || word.AllocatedBytes() != ref.AllocatedBytes() {
+				t.Errorf("StoreWord(%#x, %d): codeGen %d alloc %d, WriteAt codeGen %d alloc %d",
+					off, n, word.CodeGen(), word.AllocatedBytes(), ref.CodeGen(), ref.AllocatedBytes())
+			}
+			a, b := make([]byte, size), make([]byte, size)
+			ref.ReadAt(0, a)
+			word.ReadAt(0, b)
+			if !bytes.Equal(a, b) {
+				t.Errorf("StoreWord(%#x, %d) left different contents than WriteAt", off, n)
+			}
+		}
+	}
+}
+
+// TestSparseLoadWordUnmaterialized pins the zero-read contract: loading
+// from a granule nobody wrote returns 0, materializes nothing and
+// allocates nothing.
+func TestSparseLoadWordUnmaterialized(t *testing.T) {
+	s := NewSparse(1 << 20)
+	var got uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		got |= s.LoadWord(0x5008, 8) | s.LoadWord(0x6FFC, 8) | s.LoadWord(0x7001, 1)
+	})
+	if got != 0 || allocs != 0 || s.AllocatedBytes() != 0 {
+		t.Errorf("unmaterialized loads: value %#x, %v allocs, %d bytes materialized; want 0, 0, 0",
+			got, allocs, s.AllocatedBytes())
 	}
 }
 
@@ -144,16 +211,16 @@ func TestROMWriteRejected(t *testing.T) {
 	if err := as.Map(0xFFFF_0000, rom); err != nil {
 		t.Fatal(err)
 	}
-	v, err := as.ReadU8(0xFFFF_0002)
+	v, err := as.Load(0xFFFF_0002, 1)
 	if err != nil || v != 3 {
 		t.Errorf("ROM read = %d, %v", v, err)
 	}
-	if err := as.WriteU8(0xFFFF_0000, 9); err == nil {
+	if err := as.Store(0xFFFF_0000, 1, 9); err == nil {
 		t.Error("ROM write accepted")
 	}
 	// Backdoor store writes still work (factory programming).
 	rom.Store().WriteAt(0, []byte{9})
-	if v, _ := as.ReadU8(0xFFFF_0000); v != 9 {
+	if v, _ := as.Load(0xFFFF_0000, 1); v != 9 {
 		t.Error("backdoor ROM programming failed")
 	}
 }
@@ -189,17 +256,17 @@ func TestMMIODispatch(t *testing.T) {
 	if err := as.Map(0xB000_0000, NewMMIO("regs", 0x100, dev)); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.WriteU32(0xB000_0000, 0x12345678); err != nil {
+	if err := as.Store(0xB000_0000, 4, 0x12345678); err != nil {
 		t.Fatal(err)
 	}
 	if dev.last != 0x12345678 {
 		t.Errorf("device saw %#x", dev.last)
 	}
-	if v, err := as.ReadU32(0xB000_0000); err != nil || v != 0x12345678 {
+	if v, err := as.Load(0xB000_0000, 4); err != nil || v != 0x12345678 {
 		t.Errorf("MMIO read = %#x, %v", v, err)
 	}
 	dev.failRd = true
-	if _, err := as.ReadU32(0xB000_0000); err == nil {
+	if _, err := as.Load(0xB000_0000, 4); err == nil {
 		t.Error("device error not propagated")
 	}
 }
@@ -223,19 +290,19 @@ func TestScalarAccessors(t *testing.T) {
 	if err := as.Map(0, NewRAM("dram", 0x1000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.WriteU16(0x10, 0xBEEF); err != nil {
+	if err := as.Store(0x10, 2, 0xBEEF); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := as.ReadU16(0x10); v != 0xBEEF {
+	if v, _ := as.Load(0x10, 2); v != 0xBEEF {
 		t.Errorf("U16 = %#x", v)
 	}
-	if v, _ := as.ReadU8(0x11); v != 0xBE {
+	if v, _ := as.Load(0x11, 1); v != 0xBE {
 		t.Errorf("little-endian layout violated: %#x", v)
 	}
 	if err := as.WriteU64(0x20, 0x1122334455667788); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := as.ReadU32(0x20); v != 0x55667788 {
+	if v, _ := as.Load(0x20, 4); v != 0x55667788 {
 		t.Errorf("U32 low half = %#x", v)
 	}
 	if v, _ := as.ReadU64(0x20); v != 0x1122334455667788 {

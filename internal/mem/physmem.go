@@ -237,14 +237,49 @@ func (as *AddressSpace) WatchCode(addr, n uint64) (*Sparse, bool) {
 	return r.store, true
 }
 
-// The word-sized accessors below duplicate Read/Write's resolve-and-check
-// prologue instead of delegating to them. The indirection they avoid is
-// not cosmetic: Read/Write may hand the buffer to a Device interface, so a
-// caller's stack buffer always escapes through them — one heap allocation
-// per simulated load/store, which made ReadU64 the single largest
-// allocation site in the simulator. Keeping the RAM/ROM word path on
-// concrete *Sparse calls lets every word access run allocation-free; only
-// the (rare) MMIO branch still pays the interface escape.
+// Word accesses do not delegate to Read/Write. Read/Write may hand the
+// buffer to a Device interface, so a caller's stack buffer always escapes
+// through them — one heap allocation per simulated load/store, which made
+// word reads the single largest allocation site in the simulator. Load and
+// Store keep the RAM/ROM path on concrete *Sparse calls that read and
+// write the granule in place, so every word access runs allocation-free;
+// only the (rare) MMIO branch still pays the interface escape.
+
+// Load reads a size-byte (1..8) little-endian value at addr, with
+// Read's region and boundary checks.
+func (as *AddressSpace) Load(addr uint64, size int) (uint64, error) {
+	r, off, err := as.wordRegion(addr, uint64(size))
+	if err != nil {
+		return 0, err
+	}
+	if r.Kind != MMIO {
+		return r.store.LoadWord(off, size), nil
+	}
+	var b [8]byte
+	if err := r.dev.MMIORead(off, b[:size]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// Store writes the low size bytes (1..8) of v little-endian at addr, with
+// Write's region, boundary and ROM checks.
+func (as *AddressSpace) Store(addr uint64, size int, v uint64) error {
+	r, off, err := as.wordRegion(addr, uint64(size))
+	if err != nil {
+		return err
+	}
+	switch r.Kind {
+	case MMIO:
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return r.dev.MMIOWrite(off, b[:size])
+	case ROM:
+		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
+	}
+	r.store.StoreWord(off, size, v)
+	return nil
+}
 
 // wordRegion resolves addr for an n-byte word access with Read/Write's
 // boundary semantics.
@@ -260,151 +295,7 @@ func (as *AddressSpace) wordRegion(addr, n uint64) (*Region, uint64, error) {
 }
 
 // ReadU64 reads a little-endian 64-bit word.
-func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
-	r, off, err := as.wordRegion(addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [8]byte
-		r.store.ReadAt(off, b[:])
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
-	var b [8]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
+func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) { return as.Load(addr, 8) }
 
 // WriteU64 writes a little-endian 64-bit word.
-func (as *AddressSpace) WriteU64(addr, v uint64) error {
-	r, off, err := as.wordRegion(addr, 8)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	r.store.WriteAt(off, b[:])
-	return nil
-}
-
-// ReadU32 reads a little-endian 32-bit word.
-func (as *AddressSpace) ReadU32(addr uint64) (uint32, error) {
-	r, off, err := as.wordRegion(addr, 4)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [4]byte
-		r.store.ReadAt(off, b[:])
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	var b [4]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// WriteU32 writes a little-endian 32-bit word.
-func (as *AddressSpace) WriteU32(addr uint64, v uint32) error {
-	r, off, err := as.wordRegion(addr, 4)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	r.store.WriteAt(off, b[:])
-	return nil
-}
-
-// ReadU16 reads a little-endian 16-bit word.
-func (as *AddressSpace) ReadU16(addr uint64) (uint16, error) {
-	r, off, err := as.wordRegion(addr, 2)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [2]byte
-		r.store.ReadAt(off, b[:])
-		return binary.LittleEndian.Uint16(b[:]), nil
-	}
-	var b [2]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-// WriteU16 writes a little-endian 16-bit word.
-func (as *AddressSpace) WriteU16(addr uint64, v uint16) error {
-	r, off, err := as.wordRegion(addr, 2)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], v)
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	r.store.WriteAt(off, b[:])
-	return nil
-}
-
-// ReadU8 reads one byte.
-func (as *AddressSpace) ReadU8(addr uint64) (uint8, error) {
-	r, off, err := as.wordRegion(addr, 1)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [1]byte
-		r.store.ReadAt(off, b[:])
-		return b[0], nil
-	}
-	var b [1]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-// WriteU8 writes one byte.
-func (as *AddressSpace) WriteU8(addr uint64, v uint8) error {
-	r, off, err := as.wordRegion(addr, 1)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		b := [1]byte{v}
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
-	b := [1]byte{v}
-	r.store.WriteAt(off, b[:])
-	return nil
-}
+func (as *AddressSpace) WriteU64(addr, v uint64) error { return as.Store(addr, 8, v) }

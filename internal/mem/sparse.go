@@ -7,7 +7,10 @@
 // the PCIe BAR window is modeled.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // chunkBits selects the sparse allocation granule (4 KiB, one page).
 // Multi-gigabyte simulated DIMMs only consume real memory for the granules
@@ -28,13 +31,14 @@ type Sparse struct {
 	size   uint64
 	chunks map[uint64][]byte
 
-	// Code-watch support for the CPU predecode cache. WatchCode marks the
+	// Code-watch support for the CPU superblock cache. WatchCode marks the
 	// 4 KiB frames an instruction was decoded from; any write landing on a
-	// watched frame bumps codeGen. Every write path — bus writes, DMA, and
-	// the Region.Store() loader backdoor — funnels through WriteAt, so a
-	// predecode cache that snapshots CodeGen at fill time and revalidates
-	// it before reuse can never serve stale bytes. The bitmap is lazily
-	// allocated: stores that never back code pay one nil check per write.
+	// watched frame bumps codeGen. Every write path — bus writes, word
+	// stores, DMA, and the Region.Store() loader backdoor — funnels through
+	// WriteAt or StoreWord, both of which note the write, so a cache that
+	// snapshots CodeGen at fill time and revalidates it before reuse can
+	// never serve stale bytes. The bitmap is lazily allocated: stores that
+	// never back code pay one nil check per write.
 	watchBits []uint64
 	codeGen   uint64
 }
@@ -105,6 +109,82 @@ func (s *Sparse) WriteAt(off uint64, buf []byte) {
 	}
 }
 
+// LoadWord returns the size-byte little-endian value at off (size 1..8).
+// It reads the granule in place: no intermediate buffer, and a never-
+// written granule reads as zero without being materialized. Only a word
+// straddling two granules falls back to ReadAt.
+func (s *Sparse) LoadWord(off uint64, size int) uint64 {
+	if off+uint64(size) > s.size {
+		panic(fmt.Sprintf("mem: sparse read [%#x,+%d) beyond size %#x", off, size, s.size))
+	}
+	in := off & (chunkSize - 1)
+	if in+uint64(size) > chunkSize {
+		var b [8]byte
+		s.ReadAt(off, b[:size])
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	c := s.chunkFor(off, false)
+	if c == nil {
+		return 0
+	}
+	return loadLE(c[in:], size)
+}
+
+// StoreWord writes the low size bytes of v little-endian at off (size
+// 1..8), materializing the granule as needed. Like WriteAt it notes the
+// write for the code watch, so a store over decoded code invalidates it.
+func (s *Sparse) StoreWord(off uint64, size int, v uint64) {
+	if off+uint64(size) > s.size {
+		panic(fmt.Sprintf("mem: sparse write [%#x,+%d) beyond size %#x", off, size, s.size))
+	}
+	in := off & (chunkSize - 1)
+	if in+uint64(size) > chunkSize {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		s.WriteAt(off, b[:size])
+		return
+	}
+	s.NoteCodeWrite(off, uint64(size))
+	storeLE(s.chunkFor(off, true)[in:], size, v)
+}
+
+// loadLE decodes the first size bytes of b as a little-endian value.
+func loadLE(b []byte, size int) uint64 {
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
+	var v uint64
+	for i := range size {
+		v |= uint64(b[i]) << (8 * i)
+	}
+	return v
+}
+
+// storeLE encodes the low size bytes of v little-endian into b.
+func storeLE(b []byte, size int, v uint64) {
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 1:
+		b[0] = byte(v)
+	default:
+		for i := range size {
+			b[i] = byte(v >> (8 * i))
+		}
+	}
+}
+
 // WatchCode marks the frames covering [off, off+n) as holding decoded
 // code, so future writes there bump the code generation.
 func (s *Sparse) WatchCode(off, n uint64) {
@@ -125,9 +205,9 @@ func (s *Sparse) WatchCode(off, n uint64) {
 func (s *Sparse) CodeGen() uint64 { return s.codeGen }
 
 // NoteCodeWrite bumps the code generation if [off, off+n) touches a
-// watched frame. WriteAt calls it on every write; callers that mutate
-// the store through a View (the zero-copy DMA path) must call it
-// themselves. The nil check keeps unwatched stores at one branch per
+// watched frame. WriteAt and StoreWord call it on every write; callers
+// that mutate the store through a View (the zero-copy DMA path) must call
+// it themselves. The nil check keeps unwatched stores at one branch per
 // write.
 func (s *Sparse) NoteCodeWrite(off, n uint64) {
 	if s.watchBits == nil || n == 0 {
@@ -144,7 +224,7 @@ func (s *Sparse) NoteCodeWrite(off, n uint64) {
 // View returns a writable slice aliasing [off, off+n) when the range
 // lies within one materialized allocation granule. Callers that hold a
 // view across writes to the same store observe those writes (it aliases
-// the backing array); the predecode cache therefore revalidates CodeGen
+// the backing array); the superblock cache therefore revalidates CodeGen
 // instead of holding views. A false return (range straddles granules or
 // is not yet materialized) means the caller must fall back to copying.
 func (s *Sparse) View(off, n uint64) ([]byte, bool) {

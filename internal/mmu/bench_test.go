@@ -58,7 +58,7 @@ func BenchmarkTranslateHit(b *testing.B) {
 // TestTranslateHitZeroAllocs pins the fast path's allocation contract.
 func TestTranslateHitZeroAllocs(t *testing.T) {
 	if sim.FastPathsDisabled() {
-		t.Skip("FLICKSIM_NOPREDECODE set: slow path makes no allocation promise")
+		t.Skip("FLICKSIM_NOSUPERBLOCK set: slow path makes no allocation promise")
 	}
 	m := benchMMU(t)
 	env := sim.NewEnv()

@@ -40,7 +40,7 @@ type MMU struct {
 	// statistics-only MRU hit (see tlb.TLB's gen field), so the counters
 	// are kept byte-identical via translates++ and TLB.CountHit. Only
 	// Linear results (uniform remap delta, no holes on the frame) are
-	// remembered. Disabled by FLICKSIM_NOPREDECODE.
+	// remembered. Disabled by FLICKSIM_NOSUPERBLOCK.
 	lastVA  uint64
 	lastRes tlb.Result
 	lastGen uint64

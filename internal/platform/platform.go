@@ -174,7 +174,7 @@ type Board struct {
 
 // coreTLBSet records the TLBs belonging to one core, in build order — the
 // fan-out set a TLB shootdown IPI to that core must flush. The core itself
-// rides along so the shootdown can also drop its predecode cache.
+// rides along so the shootdown can also drop its superblock cache.
 type coreTLBSet struct {
 	name string
 	core *cpu.Core
@@ -490,11 +490,11 @@ func (m *Machine) ShootdownTargets() []kernel.ShootdownTarget {
 					t.FlushPage(va)
 				}
 				// A shootdown means a mapping or its permissions changed;
-				// the predecode cache is physically tagged and re-checked
+				// the superblock cache is physically tagged and re-checked
 				// through the MMU each step, but dropping it here keeps
 				// the invalidation contract conservative (hardware flushes
 				// its decode pipeline on TLB invalidation too).
-				core.InvalidatePredecode()
+				core.InvalidateSuperblocks()
 			},
 		})
 	}

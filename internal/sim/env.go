@@ -9,14 +9,14 @@ import (
 	"sort"
 )
 
-// FastPathsDisabled reports whether the FLICKSIM_NOPREDECODE escape hatch
+// FastPathsDisabled reports whether the FLICKSIM_NOSUPERBLOCK escape hatch
 // is set. It disables every wall-clock fast path in the simulator (the
-// in-place Sleep advance here, the predecode cache in internal/cpu, the
+// in-place Sleep advance here, the superblock cache in internal/cpu, the
 // last-translation cache in internal/mmu) so CI can prove the optimized
 // and unoptimized paths produce byte-identical artifacts. Read at
 // construction time (NewEnv, cpu.New, mmu.New), never per step, so tests
 // can flip it with t.Setenv.
-func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
+func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOSUPERBLOCK") != "" }
 
 // Env is a discrete-event simulation environment. Processes are spawned
 // with Spawn and advance virtual time with Proc.Sleep, Proc.Wait, and
@@ -39,7 +39,7 @@ type Env struct {
 	// deadline so a fast-forwarding process cannot advance the clock past
 	// the point where the event loop must stop. Run resets it to maxTime.
 	horizon Time
-	noFast  bool // FLICKSIM_NOPREDECODE: force every Sleep through the queue
+	noFast  bool // FLICKSIM_NOSUPERBLOCK: force every Sleep through the queue
 
 	trace   *Trace
 	metrics *Metrics

@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"flick"
 	"flick/internal/cpu"
@@ -94,6 +95,49 @@ type BFSConfig struct {
 	SkipVisitCall bool
 	// Obs, when non-nil, receives the run's observability report.
 	Obs *sim.Observer
+	// Graph, when non-nil, supplies the graph in place of generating it
+	// from Dataset and Seed; ShareBFSGraph builds one that lets the two
+	// jobs of a Table IV row generate their common graph once.
+	Graph func() *BFSGraph
+}
+
+// BFSGraph is one Table IV input: the generated CSR and the reference
+// traversal the simulated kernel must reproduce. It is never modified
+// after NewBFSGraph returns (RunBFS copies the CSR into board DRAM), so
+// concurrent jobs may share one.
+type BFSGraph struct {
+	CSR      *CSR
+	Visited  int
+	Checksum uint64
+}
+
+// NewBFSGraph generates the graph RunBFS traverses for dataset d and seed.
+func NewBFSGraph(d Dataset, seed int64) *BFSGraph {
+	g := GenerateRMAT(d, seed+1)
+	visited, sum := ReferenceBFS(g, 0)
+	return &BFSGraph{CSR: g, Visited: visited, Checksum: sum}
+}
+
+// ShareBFSGraph returns a BFSConfig.Graph hook for n jobs with the same
+// dataset and seed. The first call generates the graph; the n-th call
+// drops the hook's reference to it, so the graph is garbage once the last
+// job has loaded it, not when the whole sweep ends.
+func ShareBFSGraph(d Dataset, seed int64, n int) func() *BFSGraph {
+	var mu sync.Mutex
+	var g *BFSGraph
+	taken := 0
+	return func() *BFSGraph {
+		mu.Lock()
+		defer mu.Unlock()
+		if g == nil {
+			g = NewBFSGraph(d, seed)
+		}
+		out := g
+		if taken++; taken == n {
+			g = nil
+		}
+		return out
+	}
 }
 
 // BFSResult is one Table IV measurement.
@@ -111,8 +155,13 @@ func RunBFS(cfg BFSConfig) (BFSResult, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	g := GenerateRMAT(cfg.Dataset, cfg.Seed+1)
-	wantVisited, wantSum := ReferenceBFS(g, 0)
+	var g *BFSGraph
+	if cfg.Graph != nil {
+		g = cfg.Graph()
+	} else {
+		g = NewBFSGraph(cfg.Dataset, cfg.Seed)
+	}
+	wantVisited, wantSum := g.Visited, g.Checksum
 
 	sys, err := flick.Build(flick.Config{
 		Sources: map[string]string{"bfs.fasm": bfsSource},
@@ -123,7 +172,7 @@ func RunBFS(cfg BFSConfig) (BFSResult, error) {
 		return BFSResult{}, err
 	}
 	defer sys.Close()
-	lay, err := loadGraph(sys, g)
+	lay, err := loadGraph(sys, g.CSR)
 	if err != nil {
 		return BFSResult{}, err
 	}
@@ -208,17 +257,26 @@ func loadGraph(sys *flick.System, g *CSR) (bfsLayout, error) {
 }
 
 // storeU64s bulk-writes a u64 slice at a program VA through the NxP data
-// window's linear mapping (setup-time backdoor, untimed).
+// window's linear mapping (setup-time backdoor, untimed). It stages one
+// page at a time, so loading a graph never holds a second byte copy of it.
 func storeU64s(sys *flick.System, va uint64, vals []uint64) error {
-	buf := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
 	w, err := sys.Kernel.Tables().Walk(va)
 	if err != nil {
 		return err
 	}
-	return sys.Kernel.Phys().Write(w.PhysAddr, buf)
+	buf := make([]byte, 4096)
+	for pa := w.PhysAddr; len(vals) > 0; {
+		n := min(len(vals), len(buf)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], v)
+		}
+		if err := sys.Kernel.Phys().Write(pa, buf[:n*8]); err != nil {
+			return err
+		}
+		pa += uint64(n) * 8
+		vals = vals[n:]
+	}
+	return nil
 }
 
 // bfsKernel is the traversal, written against the timed virtual-memory
@@ -251,7 +309,7 @@ func bfsKernel(p *sim.Proc, c *cpu.Core, lay bfsLayout) (int, uint64, error) {
 	if err := c.WriteU64Virt(p, tailVA, 1); err != nil {
 		return 0, 0, err
 	}
-	if err := writeByteVirt(p, c, lay.visitedVA+lay.source, 1); err != nil {
+	if err := c.WriteU8Virt(p, lay.visitedVA+lay.source, 1); err != nil {
 		return 0, 0, err
 	}
 
@@ -293,7 +351,7 @@ func bfsKernel(p *sim.Proc, c *cpu.Core, lay bfsLayout) (int, uint64, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			seen, err := readByteVirt(p, c, lay.visitedVA+t)
+			seen, err := c.ReadU8Virt(p, lay.visitedVA+t)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -301,7 +359,7 @@ func bfsKernel(p *sim.Proc, c *cpu.Core, lay bfsLayout) (int, uint64, error) {
 			if seen != 0 {
 				continue
 			}
-			if err := writeByteVirt(p, c, lay.visitedVA+t, 1); err != nil {
+			if err := c.WriteU8Virt(p, lay.visitedVA+t, 1); err != nil {
 				return 0, 0, err
 			}
 			curTail, err := c.ReadU64Virt(p, tailVA)
@@ -326,18 +384,6 @@ func bfsKernel(p *sim.Proc, c *cpu.Core, lay bfsLayout) (int, uint64, error) {
 	return visited, checksum, nil
 }
 
-func readByteVirt(p *sim.Proc, c *cpu.Core, va uint64) (byte, error) {
-	var b [1]byte
-	if err := c.ReadVirt(p, va, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func writeByteVirt(p *sim.Proc, c *cpu.Core, va uint64, v byte) error {
-	return c.WriteVirt(p, va, []byte{v})
-}
-
 // RunTable4 measures one dataset both ways, the paper's Table IV row.
 type Table4Row struct {
 	Dataset  Dataset
@@ -349,11 +395,12 @@ type Table4Row struct {
 // RunTable4Row produces one row of Table IV. obs, when non-nil, receives
 // both machines' observability reports.
 func RunTable4Row(d Dataset, iterations int, seed int64, obs *sim.Observer) (Table4Row, error) {
-	base, err := RunBFS(BFSConfig{Dataset: d, Iterations: iterations, Baseline: true, Seed: seed, Obs: obs})
+	graph := ShareBFSGraph(d, seed, 2)
+	base, err := RunBFS(BFSConfig{Dataset: d, Iterations: iterations, Baseline: true, Seed: seed, Obs: obs, Graph: graph})
 	if err != nil {
 		return Table4Row{}, fmt.Errorf("baseline %s: %w", d.Name, err)
 	}
-	fl, err := RunBFS(BFSConfig{Dataset: d, Iterations: iterations, Seed: seed, Obs: obs})
+	fl, err := RunBFS(BFSConfig{Dataset: d, Iterations: iterations, Seed: seed, Obs: obs, Graph: graph})
 	if err != nil {
 		return Table4Row{}, fmt.Errorf("flick %s: %w", d.Name, err)
 	}

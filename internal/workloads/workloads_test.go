@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"flick/internal/sim"
@@ -220,6 +222,50 @@ func TestBFSVisitCallAblation(t *testing.T) {
 	}
 	if without.Migrations != 0 {
 		t.Errorf("ablated run still migrated %d times", without.Migrations)
+	}
+}
+
+// TestShareBFSGraph pins the row-share contract: concurrent takers get
+// one graph generated once, equal to a fresh NewBFSGraph; the hook lets
+// go of it after the last taker; and a run fed through the hook measures
+// exactly what a self-generating run does.
+func TestShareBFSGraph(t *testing.T) {
+	d := Epinions1.Scale(64)
+	const takers = 4
+	hook := ShareBFSGraph(d, 3, takers)
+	got := make([]*BFSGraph, takers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = hook()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Fatalf("taker %d got a different graph", i)
+		}
+	}
+	want := NewBFSGraph(d, 3)
+	if !slices.Equal(got[0].CSR.Targets, want.CSR.Targets) || got[0].Visited != want.Visited || got[0].Checksum != want.Checksum {
+		t.Error("shared graph differs from NewBFSGraph")
+	}
+	if hook() == got[0] {
+		t.Error("hook still holds the graph after its last taker")
+	}
+
+	own, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Seed: 3, Graph: ShareBFSGraph(d, 3, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own != shared {
+		t.Errorf("run through the hook = %+v, self-generating run = %+v", shared, own)
 	}
 }
 
