@@ -1,18 +1,24 @@
 // Command flickld links Flick objects (.fobj from flickasm, or .fasm
 // sources assembled on the fly) into one multi-ISA image and prints the
 // image map: page-aligned per-ISA segments, the resolved symbol table, and
-// the loader's NX markings.
+// the loader's NX markings. Unless -no-runtime is given, it links the
+// runtime library of each core family the default machine carries (host
+// and nxp): the migration handler stubs, the per-ISA malloc variants and
+// the memcpy/memset/strlen/print_str stdlib — the same libraries flickrun
+// links.
 //
 // Usage:
 //
 //	flickld prog.fasm lib.fobj ...
 //	flickld -entry start prog.fasm
+//	flickld -no-runtime prog.fasm
 package main
 
 import (
 	"encoding/gob"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -21,31 +27,43 @@ import (
 	"flick/internal/core"
 	"flick/internal/isa"
 	"flick/internal/multibin"
+	"flick/internal/platform"
 )
 
 func main() {
-	entry := flag.String("entry", "main", "entry symbol")
-	noRuntime := flag.Bool("no-runtime", false, "do not link the Flick runtime library")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: flickld [-entry sym] <file.fasm|file.fobj>...")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment made explicit so the CLI is testable
+// in-process: flags and input files in args, the image map on stdout,
+// diagnostics on stderr. Returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flickld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	entry := fs.String("entry", "main", "entry symbol")
+	noRuntime := fs.Bool("no-runtime", false, "do not link the Flick runtime library")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: flickld [-entry sym] [-no-runtime] <file.fasm|file.fobj>...")
+		return 2
 	}
 
 	var objects []*multibin.Object
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		obj, err := loadInput(path)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		objects = append(objects, obj)
 	}
 	if !*noRuntime {
-		rt, err := asm.Assemble("flick_runtime.fasm", core.RuntimeSource)
+		libs, err := core.RuntimeLibraries(platform.DefaultParams())
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		objects = append(objects, rt)
+		objects = append(objects, libs...)
 	}
 
 	im, err := multibin.Link(multibin.LinkConfig{
@@ -53,9 +71,10 @@ func main() {
 		PerISASymbols: core.PerISASymbols,
 	}, objects...)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	printImage(im)
+	printImage(stdout, im)
+	return 0
 }
 
 func loadInput(path string) (*multibin.Object, error) {
@@ -78,14 +97,14 @@ func loadInput(path string) (*multibin.Object, error) {
 	return asm.Assemble(path, string(src))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "flickld:", err)
-	os.Exit(1)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "flickld:", err)
+	return 1
 }
 
-func printImage(im *multibin.Image) {
-	fmt.Printf("entry %#x\n\n", im.Entry)
-	fmt.Println("segments (loader NX marking in brackets):")
+func printImage(w io.Writer, im *multibin.Image) {
+	fmt.Fprintf(w, "entry %#x\n\n", im.Entry)
+	fmt.Fprintln(w, "segments (loader NX marking in brackets):")
 	for _, seg := range im.Segments {
 		nx := "NX=1"
 		if seg.Kind == multibin.SecText && isa.IsHost(seg.ISA) {
@@ -95,10 +114,10 @@ func printImage(im *multibin.Image) {
 		if seg.Kind == multibin.SecText && !isa.IsHost(seg.ISA) {
 			note = "  (host execution faults here → migration)"
 		}
-		fmt.Printf("  %-12s %v  [%#010x, %#010x)  %6d bytes  [%s]%s\n",
+		fmt.Fprintf(w, "  %-12s %v  [%#010x, %#010x)  %6d bytes  [%s]%s\n",
 			seg.Name, seg.ISA, seg.VA, seg.End(), len(seg.Bytes), nx, note)
 	}
-	fmt.Println("\nsymbols:")
+	fmt.Fprintln(w, "\nsymbols:")
 	names := make([]string, 0, len(im.Symbols))
 	for n := range im.Symbols {
 		names = append(names, n)
@@ -110,6 +129,6 @@ func printImage(im *multibin.Image) {
 		if target, ok := im.TextISA(va); ok {
 			loc = target.String() + " text"
 		}
-		fmt.Printf("  %#010x  %-28s %s\n", va, n, loc)
+		fmt.Fprintf(w, "  %#010x  %-28s %s\n", va, n, loc)
 	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"flick"
 	"flick/internal/asm"
+	"flick/internal/core"
+	"flick/internal/isa"
 	"flick/internal/kernel"
 	"flick/internal/multibin"
 	"flick/internal/sim"
@@ -569,7 +571,7 @@ l:
 	if _, err := sys.RunProgram("main"); err != nil {
 		t.Fatal(err)
 	}
-	h2n, n2h := sys.Runtime.Mbox.Stats()
+	h2n, n2h := sys.Runtime.Mboxes[0].Stats()
 	if h2n != 5 || n2h != 5 {
 		t.Errorf("mailbox sent %d/%d, want 5/5", h2n, n2h)
 	}
@@ -723,9 +725,15 @@ func TestPrecompiledLibraryCalledFromBothISAs(t *testing.T) {
 }
 
 func TestStdlibPerISARouting(t *testing.T) {
-	// memcpy/memset/strlen bind per caller ISA: NxP code copying board
-	// DRAM must not migrate for the copy.
-	sys := build(t, `
+	// malloc/memcpy/memset/strlen bind per caller ISA: board code copying
+	// board DRAM must not migrate for the copy or the allocation. Every
+	// board family gets the same program on a one-board machine carrying
+	// that family.
+	for _, name := range isa.BoardNames() {
+		t.Run(name, func(t *testing.T) {
+			sys, err := flick.Build(flick.Config{
+				BoardISAs: []string{name},
+				Sources: map[string]string{"test.fasm": strings.ReplaceAll(`
 .func main isa=host
     la   a0, dsthost
     la   a1, msg
@@ -734,19 +742,26 @@ func TestStdlibPerISARouting(t *testing.T) {
     la   a0, dsthost
     call strlen          ; host variant: "hello" is NUL-terminated → 5
     mov  t5, a0
-    call nxp_copy        ; one migration; copies within board DRAM
-    add  a0, a0, t5      ; 5 + 5
+    call board_copy      ; one migration; returns p + 5
+    mov  t4, a0
+    movi a0, 16
+    call nxp_malloc      ; the board heap's next slot: p + 16
+    sub  a0, a0, t4      ; 16 - 5
+    add  a0, a0, t5      ; 11 + 5
     halt
 .endfunc
 
-.func nxp_copy isa=nxp
+.func board_copy isa=BOARD
     push ra
-    la   a0, dstnxp
-    la   a1, msgnxp
+    movi a0, 16
+    call malloc          ; board variant: p in the board heap
+    la   a1, msgb
     movi a2, 6
-    call memcpy          ; nxp variant: stays on the NxP
-    la   a0, dstnxp
-    call strlen          ; nxp variant
+    call memcpy          ; board variant: stays on the board, returns p
+    push a0
+    call strlen          ; board variant: "world" → 5
+    pop  a1
+    add  a0, a0, a1
     pop  ra
     ret
 .endfunc
@@ -758,23 +773,50 @@ func TestStdlibPerISARouting(t *testing.T) {
 .data dsthost isa=host
     .zero 16
 .enddata
-.data msgnxp isa=nxp
+.data msgb isa=BOARD
     .ascii "world"
     .byte 0
 .enddata
-.data dstnxp isa=nxp
-    .zero 16
-.enddata
-`)
-	ret, err := sys.RunProgram("main")
-	if err != nil {
-		t.Fatal(err)
+`, "BOARD", name)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			ret, err := sys.RunProgram("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ret != 16 {
+				t.Errorf("ret = %d, want 16", ret)
+			}
+			if st := sys.Runtime.Stats(); st.H2NCalls != 1 || st.N2HCalls != 0 {
+				t.Errorf("stdlib calls migrated: %+v", st)
+			}
+		})
 	}
-	if ret != 10 {
-		t.Errorf("ret = %d, want 10", ret)
-	}
-	if st := sys.Runtime.Stats(); st.H2NCalls != 1 || st.N2HCalls != 0 {
-		t.Errorf("stdlib calls migrated: %+v", st)
+}
+
+func TestLibrarySourcePerBackend(t *testing.T) {
+	// Each family's generated library defines every per-ISA routed
+	// variant, and each board family its migration handler stub.
+	for _, be := range isa.All() {
+		obj, err := asm.Assemble(be.Name()+".fasm", core.LibrarySource(be))
+		if err != nil {
+			t.Fatalf("%s: %v", be.Name(), err)
+		}
+		want := []string{"__flick_" + be.Name() + "_handler"}
+		for _, sym := range core.PerISASymbols {
+			want = append(want, sym+"."+be.Name())
+		}
+		for _, sym := range want {
+			sec, _, ok := obj.FindSymbol(sym)
+			if !ok {
+				t.Errorf("%s library lacks %s", be.Name(), sym)
+			} else if sec.ISA != be.ISA() {
+				t.Errorf("%s: %s lands in %v text", be.Name(), sym, sec.ISA)
+			}
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 	"flick/internal/sim"
 )
 
-// Native stub ids used by the runtime's assembly stubs.
+// Native stub ids used by the runtime library's assembly stubs. Every
+// board family's handler and allocator stubs share the NxP ids.
 const (
 	NativeHostHandler = 1
 	NativeNxPHandler  = 2
@@ -23,190 +24,6 @@ const (
 	// without migrating.
 	NativeMallocNxPFromHost = 5
 )
-
-// RuntimeSource is the Flick runtime library in assembly: the migration
-// handler entry stubs (one per ISA, placed in that ISA's text section so
-// the NX markings are correct) and the per-ISA memory allocators the
-// linker routes `malloc` to (§III-D).
-const RuntimeSource = `
-; Flick runtime library.
-.func __flick_host_handler isa=host
-    native 1
-.endfunc
-
-.func __flick_nxp_handler isa=nxp
-    native 2
-.endfunc
-
-.func malloc.host isa=host
-    native 3
-.endfunc
-
-.func malloc.nxp isa=nxp
-    native 4
-.endfunc
-
-; Annotated allocation: lets host code place data in the NxP region
-; explicitly (the paper's near-storage initialization case).
-.func nxp_malloc isa=host
-    native 5
-.endfunc
-`
-
-// RuntimeHostOnlySource is RuntimeSource without the nxp-family stubs,
-// for machines where no board carries an nxp core (e.g. every board is
-// cmp): the base runtime must not drag .text.nxp into an image no core
-// could ever execute. Machines with at least one nxp board keep linking
-// RuntimeSource unchanged, byte for byte.
-const RuntimeHostOnlySource = `
-; Flick runtime library (host side only).
-.func __flick_host_handler isa=host
-    native 1
-.endfunc
-
-.func malloc.host isa=host
-    native 3
-.endfunc
-
-; Annotated allocation: lets host code place data in the NxP region
-; explicitly (the paper's near-storage initialization case).
-.func nxp_malloc isa=host
-    native 5
-.endfunc
-`
-
-// RuntimeDspSource is the extra runtime library for three-ISA
-// configurations (§IV-C3): the DSP-side migration handler stub and the
-// DSP variants of the per-ISA routed symbols. Linked only when the
-// platform enables the DSP core.
-const RuntimeDspSource = `
-; Flick runtime, DSP additions.
-.func __flick_dsp_handler isa=dsp
-    native 2
-.endfunc
-
-.func malloc.dsp isa=dsp
-    native 4
-.endfunc
-
-.func memcpy.dsp isa=dsp
-    mov  t5, a0
-mloop:
-    beq  a2, zr, mdone
-    ld1  t0, [a1+0]
-    st1  t0, [a0+0]
-    addi a0, a0, 1
-    addi a1, a1, 1
-    addi a2, a2, -1
-    jmp  mloop
-mdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func memset.dsp isa=dsp
-    mov  t5, a0
-sloop:
-    beq  a2, zr, sdone
-    st1  a1, [a0+0]
-    addi a0, a0, 1
-    addi a2, a2, -1
-    jmp  sloop
-sdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func strlen.dsp isa=dsp
-    movi t0, 0
-lloop:
-    ld1  t1, [a0+0]
-    beq  t1, zr, ldone
-    addi t0, t0, 1
-    addi a0, a0, 1
-    jmp  lloop
-ldone:
-    mov  a0, t0
-    ret
-.endfunc
-`
-
-// RuntimeCmpSource is the runtime library for the compressed board ISA:
-// its migration handler stub and the cmp variants of the per-ISA routed
-// symbols. Linked whenever a board carries the cmp core family. The
-// handler stub shares the generic board-handler native with the other
-// board ISAs — the runtime keys its state on the faulting core, not the
-// encoding.
-const RuntimeCmpSource = `
-; Flick runtime, compressed-ISA additions.
-.func __flick_cmp_handler isa=cmp
-    native 2
-.endfunc
-
-.func malloc.cmp isa=cmp
-    native 4
-.endfunc
-
-.func memcpy.cmp isa=cmp
-    mov  t5, a0
-mloop:
-    beq  a2, zr, mdone
-    ld1  t0, [a1+0]
-    st1  t0, [a0+0]
-    addi a0, a0, 1
-    addi a1, a1, 1
-    addi a2, a2, -1
-    jmp  mloop
-mdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func memset.cmp isa=cmp
-    mov  t5, a0
-sloop:
-    beq  a2, zr, sdone
-    st1  a1, [a0+0]
-    addi a0, a0, 1
-    addi a2, a2, -1
-    jmp  sloop
-sdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func strlen.cmp isa=cmp
-    movi t0, 0
-lloop:
-    ld1  t1, [a0+0]
-    beq  t1, zr, ldone
-    addi t0, t0, 1
-    addi a0, a0, 1
-    jmp  lloop
-ldone:
-    mov  a0, t0
-    ret
-.endfunc
-`
-
-// RuntimeSourceFor returns the extra runtime library for a non-default
-// board ISA (by backend name), if one ships. The base RuntimeSource covers
-// host and nxp; builders link the returned source when a board carries the
-// named family.
-func RuntimeSourceFor(name string) (string, bool) {
-	switch name {
-	case "dsp":
-		return RuntimeDspSource, true
-	case "cmp":
-		return RuntimeCmpSource, true
-	}
-	return "", false
-}
-
-// PerISASymbols lists the symbols the linker resolves per referring ISA
-// when building Flick programs: the allocator (§III-D) and the stdlib
-// memory utilities.
-var PerISASymbols = []string{"malloc", "memcpy", "memset", "strlen"}
 
 // Costs models the Flick runtime's software overheads, calibrated together
 // with kernel.Costs so the null-call round trips land on the paper's
@@ -256,11 +73,9 @@ type Runtime struct {
 	M     *platform.Machine
 	K     *kernel.Kernel
 	Prog  *kernel.Program
-	Mbox  *Mailbox // board 0's mailbox
 	Costs Costs
 
-	// Mboxes holds one descriptor mailbox per board, in board order;
-	// Mboxes[0] == Mbox.
+	// Mboxes holds one descriptor mailbox per board, in board order.
 	Mboxes []*Mailbox
 
 	// ExtraMigrationLatency is injected once per call migration, in each
@@ -306,8 +121,8 @@ type boardState struct {
 }
 
 // Activate installs the Flick runtime onto a machine with a loaded
-// program. The program must have been linked with RuntimeSource and
-// PerISASymbols.
+// program. The program must have been linked with the RuntimeLibraries of
+// the machine's parameters and PerISASymbols.
 func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	rt := &Runtime{M: m, K: m.Kernel, Prog: prog, Costs: DefaultCosts()}
 
@@ -344,7 +159,7 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	if err := addState(0, m.NxP); err != nil {
 		return nil, err
 	}
-	if m.DSP != nil && hasTextISA(prog, isa.ISADsp) {
+	if m.DSP != nil && hasTextISA(prog, m.DSP.ISA()) {
 		if err := addState(0, m.DSP); err != nil {
 			return nil, err
 		}
@@ -368,9 +183,6 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 			}
 		}
 		if !found {
-			if be.ISA() == isa.ISADsp {
-				return nil, fmt.Errorf("core: image contains .text.dsp but the platform has no DSP core (set Params.EnableDSP)")
-			}
 			return nil, fmt.Errorf("core: image contains .text.%s but no board carries a %s core (set Params.BoardISAs)", be.Name(), be.Name())
 		}
 	}
@@ -406,7 +218,6 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 		}
 		rt.Mboxes = append(rt.Mboxes, mb)
 	}
-	rt.Mbox = rt.Mboxes[0]
 	for _, st := range rt.states {
 		st.mbox = rt.Mboxes[st.idx]
 	}
@@ -487,7 +298,7 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 
 // SetPIODescriptors switches descriptor transport from the single-burst
 // DMA to programmed I/O, the ablation of §IV-B1's design choice.
-func (rt *Runtime) SetPIODescriptors(v bool) { rt.Mbox.SetPIO(v) }
+func (rt *Runtime) SetPIODescriptors(v bool) { rt.Mboxes[0].SetPIO(v) }
 
 // boardFault is the board cores' exception handler: wrong-ISA and
 // misaligned fetches whose target is some *other* ISA's text become

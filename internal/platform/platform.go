@@ -40,6 +40,9 @@ const (
 // [LocalRegsBase, LocalDDRBase) window.
 const BoardRegsStride = 0x1_0000
 
+// DSPCycle is the DSP core's cycle time (400 MHz).
+const DSPCycle = 2500 * sim.Picosecond
+
 // Params sizes and calibrates the machine.
 type Params struct {
 	HostDRAM uint64 // bytes of host memory
@@ -75,7 +78,6 @@ type Params struct {
 	// PTE-tagged execution mode instead of NX polarity. The DSP lives on
 	// board 0.
 	EnableDSP bool
-	DSPCycle  sim.Duration // 400 MHz when enabled
 
 	Link        pcie.LinkParams
 	DMAOverhead sim.Duration
@@ -283,6 +285,30 @@ func resolveBoardISAs(names []string, boards int) ([]isa.ISA, error) {
 	return out, nil
 }
 
+// CoreISAs returns the distinct core families a machine built from p
+// carries — the host, each board's primary family and the DSP when
+// enabled — in registry (isa.All) order.
+func (p Params) CoreISAs() ([]isa.ISA, error) {
+	boards, err := resolveBoardISAs(p.BoardISAs, max(p.Boards, 1))
+	if err != nil {
+		return nil, err
+	}
+	carried := map[isa.ISA]bool{isa.HostISA(): true}
+	for _, is := range boards {
+		carried[is] = true
+	}
+	if p.EnableDSP {
+		carried[isa.ISADsp] = true
+	}
+	var out []isa.ISA
+	for _, be := range isa.All() {
+		if carried[be.ISA()] {
+			out = append(out, be.ISA())
+		}
+	}
+	return out, nil
+}
+
 // boardStride spaces board-local windows: the next power of two holding
 // size, at least 1 MiB.
 func boardStride(size uint64) uint64 {
@@ -312,14 +338,11 @@ func New(params Params) (*Machine, error) {
 	}
 	// Three or more distinct core ISAs need PTE ISA tags (§IV-C3); two get
 	// by on NX polarity.
-	distinct := map[isa.ISA]bool{isa.ISAHost: true}
-	for _, is := range m.boardISAs {
-		distinct[is] = true
+	families, err := params.CoreISAs()
+	if err != nil {
+		return nil, err
 	}
-	if params.EnableDSP {
-		distinct[isa.ISADsp] = true
-	}
-	m.tagged = len(distinct) > 2
+	m.tagged = len(families) > 2
 
 	if params.Faults != "" {
 		spec, err := faultinj.Parse(params.Faults)
@@ -595,10 +618,6 @@ func (m *Machine) buildCores() {
 		coreTLBSet{name: b0Name, core: m.NxP, tlbs: []*tlb.TLB{nITLB, nDTLB}})
 
 	if p.EnableDSP {
-		dspCycle := p.DSPCycle
-		if dspCycle == 0 {
-			dspCycle = 2500 * sim.Picosecond // 400 MHz
-		}
 		dITLB := tlb.New("dsp-itlb", p.NxPITLB)
 		dDTLB := tlb.New("dsp-dtlb", p.NxPDTLB)
 		for _, t := range []*tlb.TLB{dITLB, dDTLB} {
@@ -610,7 +629,7 @@ func (m *Machine) buildCores() {
 			IMMU:          mmu.New("dsp-immu", dITLB, m.Tables, nxpWalk, p.NxPWalkPerReq),
 			DMMU:          mmu.New("dsp-dmmu", dDTLB, m.Tables, nxpWalk, p.NxPWalkPerReq),
 			Phys:          m.NxPView,
-			CycleTime:     dspCycle,
+			CycleTime:     DSPCycle,
 			ISATag:        tagOf(isa.ISADsp),
 			AccessCost:    m.boardAccessCost(b0),
 			FetchCost:     m.boardFetchCost(b0),
