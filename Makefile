@@ -38,16 +38,18 @@ lint-isa:
 
 # Golden byte-identity gate: the three-ISA artifacts (plain, 3-board
 # scale-out, faulted), the fault-free Table IV run and the open-loop
-# traffic sweep must match testdata/golden/ byte for byte.
+# traffic sweep must match testdata/golden/ byte for byte. The binary is
+# built into the same private mktemp directory as the artifacts, so
+# concurrent runs never share it and TMPDIR is honoured.
 golden:
-	$(GO) build -o /tmp/flicksim-golden ./cmd/flicksim
-	@dir=$$(mktemp -d) && cd $$dir && \
-	/tmp/flicksim-golden -quiet -metrics-out fig5a.metrics.json fig5a > fig5a.txt && \
-	/tmp/flicksim-golden -quiet -boards 3 -metrics-out scaleout-b3.metrics.json scaleout > scaleout-b3.txt && \
-	/tmp/flicksim-golden -quiet -faults 'dma.fail=0.05,msi.drop=0.1,dma.dup=0.05' -fault-seed 7 \
+	@dir=$$(mktemp -d) && \
+	$(GO) build -o $$dir/flicksim ./cmd/flicksim && cd $$dir && \
+	./flicksim -quiet -metrics-out fig5a.metrics.json fig5a > fig5a.txt && \
+	./flicksim -quiet -boards 3 -metrics-out scaleout-b3.metrics.json scaleout > scaleout-b3.txt && \
+	./flicksim -quiet -faults 'dma.fail=0.05,msi.drop=0.1,dma.dup=0.05' -fault-seed 7 \
 		-metrics-out fault.metrics.json fig5a table4 > fault.txt && \
-	/tmp/flicksim-golden -quiet -metrics-out table4.metrics.json table4 > table4.txt && \
-	/tmp/flicksim-golden -quiet -boards 2 -duration 4ms traffic > traffic-b2.txt && \
+	./flicksim -quiet -metrics-out table4.metrics.json table4 > table4.txt && \
+	./flicksim -quiet -boards 2 -duration 4ms traffic > traffic-b2.txt && \
 	cd - >/dev/null && \
 	for f in fig5a.txt fig5a.metrics.json scaleout-b3.txt scaleout-b3.metrics.json fault.txt fault.metrics.json table4.txt table4.metrics.json traffic-b2.txt; do \
 		diff -u testdata/golden/$$f $$dir/$$f || exit 1; \

@@ -2,6 +2,7 @@ package cpu_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"flick/internal/asm"
@@ -88,6 +89,55 @@ func buildDataRig(tb testing.TB, is isa.ISA) (*benchRig, uint64) {
 	rig.ctx.SetReg(isa.A2, buf)
 	rig.ctx.SetReg(isa.SP, buf+256)
 	return rig, buf
+}
+
+// The BFS-shaped native access pattern: one 1 GiB page at hugeVA maps
+// the rig's RAM, carrying a u64 array read sequentially (BFS's
+// targets[i]) and a byte array read at random (visited[t]), the two
+// accesses alternating.
+const (
+	hugeVA    = 1 << 30
+	seqPA     = 32 << 20 // u64 array
+	seqWords  = 1 << 17  // 1 MiB
+	bytesPA   = 40 << 20 // byte array
+	bytesSize = 4 << 20
+)
+
+// buildInterleavedRig is buildDataRig plus the huge page and its two
+// arrays, every granule of both materialized as a populated graph's
+// would be. It returns the rig and the random byte-array offsets to
+// visit.
+func buildInterleavedRig(tb testing.TB, is isa.ISA) (*benchRig, []uint64) {
+	rig, _ := buildDataRig(tb, is)
+	flags := paging.Flags{Writable: true, User: true, NX: true}
+	if err := rig.core.DMMU().Tables().Map(hugeVA, 0, paging.PageSize1G, flags); err != nil {
+		tb.Fatal(err)
+	}
+	phys := rig.core.Phys()
+	for _, a := range []struct{ pa, n uint64 }{{seqPA, seqWords * 8}, {bytesPA, bytesSize}} {
+		for off := uint64(0); off < a.n; off += paging.PageSize4K {
+			if err := phys.Store(a.pa+off, 8, off|1); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	visits := make([]uint64, 4096)
+	for i := range visits {
+		visits[i] = uint64(rng.Int63n(bytesSize))
+	}
+	return rig, visits
+}
+
+// readInterleaved performs access i of the BFS-shaped pattern: even i
+// reads the next u64 of the sequential array, odd i a random byte.
+func readInterleaved(p *sim.Proc, c *cpu.Core, visits []uint64, i int) error {
+	if i&1 == 0 {
+		_, err := c.ReadU64Virt(p, hugeVA+seqPA+uint64(i/2%seqWords)*8)
+		return err
+	}
+	_, err := c.ReadU8Virt(p, hugeVA+bytesPA+visits[i/2%len(visits)])
+	return err
 }
 
 // buildRig assembles src and enters it at the entry symbol.
@@ -260,8 +310,10 @@ func TestBenchRigUsesPredecode(t *testing.T) {
 
 // BenchmarkDataAccess times the simulated data path on every ISA: the
 // interpreter running dataSrc's load/store/push/pop loop (ns per retired
-// instruction), and a native function's ReadU64Virt of warm board-style
-// memory (ns per read) — the access the Table IV BFS kernel makes.
+// instruction), a native function's ReadU64Virt of warm board-style
+// memory (ns per read) — the access the Table IV BFS kernel makes — and
+// the BFS kernel's interleaving of a sequential u64 array with random
+// bytes of a second array on one huge page (ns per access).
 func BenchmarkDataAccess(b *testing.B) {
 	for _, be := range isa.All() {
 		is := be.ISA()
@@ -280,6 +332,25 @@ func BenchmarkDataAccess(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N && err == nil; i++ {
 					_, err = rig.core.ReadU64Virt(p, buf+uint64(i%32)*8)
+				}
+				b.StopTimer()
+			})
+			rig.env.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.Run(be.Name()+"/read-u64-virt-interleaved", func(b *testing.B) {
+			rig, visits := buildInterleavedRig(b, is)
+			var err error
+			rig.env.Spawn("bench", func(p *sim.Proc) {
+				for i := 0; i < 2*len(visits) && err == nil; i++ {
+					err = readInterleaved(p, rig.core, visits, i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N && err == nil; i++ {
+					err = readInterleaved(p, rig.core, visits, i)
 				}
 				b.StopTimer()
 			})
@@ -331,6 +402,28 @@ func TestDataAccessZeroAllocs(t *testing.T) {
 		}
 		if step != 0 || native != 0 {
 			t.Errorf("%v: %v allocs per data-loop Step and %v per native access round, want 0", is, step, native)
+		}
+
+		irig, visits := buildInterleavedRig(t, is)
+		interleaved := -1.0
+		irig.env.Spawn("alloc", func(p *sim.Proc) {
+			for i := 0; i < 2*len(visits) && err == nil; i++ {
+				err = readInterleaved(p, irig.core, visits, i)
+			}
+			i := 0
+			interleaved = testing.AllocsPerRun(200, func() {
+				if e := readInterleaved(p, irig.core, visits, i); e != nil {
+					err = e
+				}
+				i++
+			})
+		})
+		irig.env.Run()
+		if err != nil {
+			t.Fatalf("%v: interleaved: %v", is, err)
+		}
+		if interleaved != 0 {
+			t.Errorf("%v: %v allocs per interleaved huge-page access, want 0", is, interleaved)
 		}
 	}
 }

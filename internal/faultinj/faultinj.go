@@ -17,7 +17,8 @@
 //	msi.delay     completion MSI delivered late
 //	ipi.drop      TLB shootdown IPI lost (retried until acked)
 //	ipi.delay     TLB shootdown IPI delivered late
-//	cpu.spurious  core raises a ghost wrong-ISA fetch fault
+//	cpu.spurious  core raises a ghost wrong-ISA fetch fault (one stream
+//	              per core; see RollFn)
 //
 // Multi-board platforms additionally answer instanced sites: board i's DMA
 // engine resolves "dma<i>" before falling back to the generic "dma" rule,
@@ -303,17 +304,23 @@ func (inj *Injector) Delay(site, kind string) (sim.Duration, bool) {
 	return s.rule.Dur, true
 }
 
-// RollFn resolves the (site, kind) rule once and returns a closure for
-// per-instruction hot paths, or nil when no rule exists — so an absent
-// rule costs literally nothing per query.
-func (inj *Injector) RollFn(site, kind string) func() bool {
+// RollFn resolves the (site, kind) rule once for one instance of the
+// site (one core, for "cpu") and returns a closure for per-instruction
+// hot paths, or nil when no rule exists — so an absent rule costs
+// literally nothing per query. Each instance draws from its own stream,
+// seeded from (seed, site.kind@instance), so how often one instance
+// rolls never shifts another's draws; hits still count into the rule's
+// one fault.injected.<site>.<kind> counter.
+func (inj *Injector) RollFn(site, kind, instance string) func() bool {
 	if inj == nil {
 		return nil
 	}
-	s, ok := inj.streams[site+"."+kind]
-	if !ok || s.rule.Prob == 0 {
+	key := site + "." + kind
+	g, ok := inj.streams[key]
+	if !ok || g.rule.Prob == 0 {
 		return nil
 	}
+	s := &stream{state: streamSeed(inj.seed, key+"@"+instance), rule: g.rule, hits: g.hits}
 	return func() bool {
 		if s.next() >= s.rule.Prob {
 			return false

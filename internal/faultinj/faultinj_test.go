@@ -107,7 +107,7 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if d, ok := inj.Delay("msi", "delay"); ok || d != 0 {
 		t.Fatal("nil Delay fired")
 	}
-	if inj.RollFn("cpu", "spurious") != nil {
+	if inj.RollFn("cpu", "spurious", "host0") != nil {
 		t.Fatal("nil RollFn != nil")
 	}
 	if inj.Enabled() {
@@ -232,11 +232,58 @@ func TestDelayReturnsRuleDuration(t *testing.T) {
 func TestRollFn(t *testing.T) {
 	spec, _ := Parse("cpu.spurious=1")
 	inj := New(sim.NewEnv(), 1, spec)
-	fn := inj.RollFn("cpu", "spurious")
+	fn := inj.RollFn("cpu", "spurious", "host0")
 	if fn == nil || !fn() {
 		t.Fatal("RollFn for prob=1 rule did not fire")
 	}
-	if inj.RollFn("dma", "fail") != nil {
+	if inj.RollFn("dma", "fail", "host0") != nil {
 		t.Fatal("RollFn != nil for unconfigured rule")
+	}
+}
+
+// TestRollFnInstancesDrawIndependently pins RollFn's per-instance
+// streams: interleaving another instance's draws leaves an instance's
+// sequence unchanged, the instances' sequences differ, and both count
+// into the rule's one counter.
+func TestRollFnInstancesDrawIndependently(t *testing.T) {
+	spec, _ := Parse("cpu.spurious=0.5")
+	draw := func(fn func() bool, n int) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = fn()
+		}
+		return out
+	}
+	const n = 64
+	want := draw(New(sim.NewEnv(), 3, spec).RollFn("cpu", "spurious", "nxp0"), n)
+
+	env := sim.NewEnv()
+	inj := New(env, 3, spec)
+	a, b := inj.RollFn("cpu", "spurious", "nxp0"), inj.RollFn("cpu", "spurious", "nxp1")
+	got := make([]bool, n)
+	other := make([]bool, n)
+	for i := range got {
+		other[i] = b()
+		got[i] = a()
+	}
+	hits := 0
+	differ := false
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("nxp0 draw %d = %v with nxp1 interleaved, want %v", i, got[i], want[i])
+		}
+		differ = differ || other[i] != want[i]
+		if got[i] {
+			hits++
+		}
+	}
+	if !differ {
+		t.Error("nxp0 and nxp1 drew the same sequence")
+	}
+	if hits == 0 || hits == n {
+		t.Fatalf("%d of %d draws fired at p=0.5", hits, n)
+	}
+	if c := env.Metrics().Counter("fault.injected.cpu.spurious").Value(); c < uint64(hits) {
+		t.Errorf("fault.injected.cpu.spurious = %d, want at least nxp0's %d hits", c, hits)
 	}
 }

@@ -90,6 +90,12 @@ type mapping struct {
 type AddressSpace struct {
 	Name     string
 	mappings []mapping // sorted by base
+
+	// last is the mapping Lookup resolved most recently, checked before
+	// the binary search. A mapping never moves or changes once installed
+	// (there is no Unmap), so the memo holds an immutable fact; Map
+	// clears it anyway, since it re-sorts mappings.
+	last mapping
 }
 
 // NewAddressSpace creates an empty view.
@@ -112,16 +118,21 @@ func (as *AddressSpace) Map(base uint64, region *Region) error {
 		}
 	}
 	as.mappings = append(as.mappings, mapping{base: base, region: region})
+	as.last = mapping{}
 	sort.Slice(as.mappings, func(i, j int) bool { return as.mappings[i].base < as.mappings[j].base })
 	return nil
 }
 
 // Lookup resolves addr to its region and offset.
 func (as *AddressSpace) Lookup(addr uint64) (*Region, uint64, error) {
+	if m := as.last; m.region != nil && addr-m.base < m.region.size {
+		return m.region, addr - m.base, nil
+	}
 	i := sort.Search(len(as.mappings), func(i int) bool {
 		return as.mappings[i].base+as.mappings[i].region.size > addr
 	})
 	if i < len(as.mappings) && as.mappings[i].base <= addr {
+		as.last = as.mappings[i]
 		return as.mappings[i].region, addr - as.mappings[i].base, nil
 	}
 	return nil, 0, &FaultError{Addr: addr, Space: as.Name, Reason: "no region"}

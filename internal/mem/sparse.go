@@ -22,6 +22,15 @@ import (
 const chunkBits = 12
 const chunkSize = 1 << chunkBits
 
+// memoSlots sizes the granule memo (see Sparse.memo).
+const memoSlots = 256
+
+// granuleSlot is one granule memo entry: the granule at index key.
+type granuleSlot struct {
+	key uint64
+	c   *[chunkSize]byte
+}
+
 // frameBits selects the code-watch granule (4 KiB, one page frame).
 const frameBits = 12
 
@@ -29,7 +38,16 @@ const frameBits = 12
 // The zero value is not usable; create one with NewSparse.
 type Sparse struct {
 	size   uint64
-	chunks map[uint64][]byte
+	chunks map[uint64]*[chunkSize]byte
+
+	// memo is a direct-mapped cache of materialized granules in front of
+	// the chunks map, indexed by granule number modulo memoSlots. A
+	// granule never moves or disappears once materialized, so an entry
+	// stays exact for the store's lifetime; misses (never-written
+	// granules) are not cached, so a later write is seen at once. It is
+	// allocated on the first materialized lookup: a store nobody reads or
+	// writes costs nothing, and touched granules cost no extra memory.
+	memo *[memoSlots]granuleSlot
 
 	// Code-watch support for the CPU superblock cache. WatchCode marks the
 	// 4 KiB frames an instruction was decoded from; any write landing on a
@@ -45,7 +63,7 @@ type Sparse struct {
 
 // NewSparse creates a sparse store holding size bytes, all initially zero.
 func NewSparse(size uint64) *Sparse {
-	return &Sparse{size: size, chunks: make(map[uint64][]byte)}
+	return &Sparse{size: size, chunks: make(map[uint64]*[chunkSize]byte)}
 }
 
 // Size returns the logical size in bytes.
@@ -56,13 +74,28 @@ func (s *Sparse) AllocatedBytes() uint64 {
 	return uint64(len(s.chunks)) * chunkSize
 }
 
-func (s *Sparse) chunkFor(off uint64, create bool) []byte {
+// chunkFor returns the granule holding off, materializing it when create
+// is set; otherwise a never-written granule returns nil.
+func (s *Sparse) chunkFor(off uint64, create bool) *[chunkSize]byte {
 	key := off >> chunkBits
+	slot := key % memoSlots
+	if s.memo != nil {
+		if e := &s.memo[slot]; e.key == key && e.c != nil {
+			return e.c
+		}
+	}
 	c := s.chunks[key]
-	if c == nil && create {
-		c = make([]byte, chunkSize)
+	if c == nil {
+		if !create {
+			return nil
+		}
+		c = new([chunkSize]byte)
 		s.chunks[key] = c
 	}
+	if s.memo == nil {
+		s.memo = new([memoSlots]granuleSlot)
+	}
+	s.memo[slot] = granuleSlot{key: key, c: c}
 	return c
 }
 

@@ -34,17 +34,18 @@ type MMU struct {
 	walkTime   sim.Duration
 
 	// Last-translation fast path: while the TLB's generation is unchanged,
-	// a repeat translation on the same 4 KiB frame as the previous one is
-	// answered by offsetting the remembered result instead of re-running
-	// Lookup. An unchanged generation proves the real Lookup would be a
-	// statistics-only MRU hit (see tlb.TLB's gen field), so the counters
-	// are kept byte-identical via translates++ and TLB.CountHit. Only
-	// Linear results (uniform remap delta, no holes on the frame) are
-	// remembered. Disabled by FLICKSIM_NOSUPERBLOCK.
+	// a repeat translation inside the previous result's linear span (the
+	// MRU entry's whole page, or its 4 KiB frame when a hole or a BAR
+	// remap window splits the page; see tlb.Result.Span) is answered by
+	// offsetting the remembered result instead of re-running Lookup. An
+	// unchanged generation proves the real Lookup would be a
+	// statistics-only hit on that same MRU entry (see tlb.TLB's gen
+	// field), so the counters are kept byte-identical via translates++
+	// and TLB.CountHit. lastRes.Span == 0 disarms it. Disabled by
+	// FLICKSIM_NOSUPERBLOCK.
 	lastVA  uint64
 	lastRes tlb.Result
 	lastGen uint64
-	lastOK  bool
 	noFast  bool
 }
 
@@ -70,7 +71,7 @@ func New(name string, t *tlb.TLB, tables *paging.Tables, cost WalkReadCost, perM
 // flushes the TLB, modeling a PTBR load during context switch.
 func (m *MMU) SetTables(t *paging.Tables) {
 	m.tables = t
-	m.lastOK = false
+	m.lastRes.Span = 0
 	m.TLB.Flush()
 }
 
@@ -86,13 +87,13 @@ var ErrNoTables = errors.New("mmu: no page tables loaded")
 // untimed-walk-free; permission checks are the core's job since NX polarity
 // differs between host and NxP.
 func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
-	if m.lastOK && va>>12 == m.lastVA>>12 && m.TLB.Gen() == m.lastGen {
-		// Same 4 KiB frame as the previous translation and the TLB hasn't
-		// mutated since: a real Lookup would be an MRU hit whose only
-		// state change is hits++. Replicate the counters and offset the
-		// remembered result (valid because only Linear results are
-		// remembered). Unsigned subtraction wraps correctly for va below
-		// lastVA within the frame.
+	if va^m.lastVA < m.lastRes.Span && m.TLB.Gen() == m.lastGen {
+		// Inside the remembered span and the TLB hasn't mutated since: a
+		// real Lookup would be an MRU hit whose only state change is
+		// hits++. Replicate the counters and offset the remembered result
+		// (see RepeatPeek for the span test and the offset arithmetic;
+		// the test is written out here because returning through
+		// RepeatPeek copies the result once more on every hit).
 		m.translates++
 		m.TLB.CountHit()
 		r := m.lastRes
@@ -139,26 +140,32 @@ func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
 }
 
 // remember arms the last-translation fast path with r, which translated
-// va. Only Linear results qualify; Hit is forced true because a repeat
-// translation of the same frame would hit in the TLB.
+// va. Only results with a linear span qualify; Hit is forced true because
+// a repeat translation inside the span would hit in the TLB.
 func (m *MMU) remember(va uint64, r tlb.Result) {
-	if m.noFast || !r.Linear {
+	if m.noFast || r.Span == 0 {
 		return
 	}
 	r.Hit = true
-	m.lastVA, m.lastRes, m.lastGen, m.lastOK = va, r, m.TLB.Gen(), true
+	m.lastVA, m.lastRes, m.lastGen = va, r, m.TLB.Gen()
 }
 
 // RepeatPeek answers va from the last-translation window without any
 // metric or state change, reporting whether the window covers it. A true
-// result means a real Translate(va) would take the fast path above — same
-// 4 KiB frame, TLB generation unchanged — so a caller batching several
-// same-page translations may use the returned result for each and settle
-// the counters once via CountRepeatHit/CountRepeatHits. The superblock
-// executor is that caller; it must account one repeat hit per fetch it
-// actually performs, or metrics diverge from the per-instruction path.
+// result means a real Translate(va) would take the fast path above — va
+// inside the remembered result's linear span, TLB generation unchanged —
+// so a caller batching several such translations may use the returned
+// result for each and settle the counters once via
+// CountRepeatHit/CountRepeatHits. The superblock executor is that
+// caller; it must account one repeat hit per fetch it actually performs,
+// or metrics diverge from the per-instruction path.
+//
+// The span is a power-of-two size and the block it names is aligned to
+// it, so va lies in the same block as lastVA exactly when they differ
+// only below the span's bit: va^lastVA < Span. A zero span never
+// matches. Unsigned subtraction offsets correctly for va below lastVA.
 func (m *MMU) RepeatPeek(va uint64) (tlb.Result, bool) {
-	if m.lastOK && va>>12 == m.lastVA>>12 && m.TLB.Gen() == m.lastGen {
+	if va^m.lastVA < m.lastRes.Span && m.TLB.Gen() == m.lastGen {
 		r := m.lastRes
 		r.Phys += va - m.lastVA
 		return r, true

@@ -142,8 +142,10 @@ func Link(cfg LinkConfig, objects ...*Object) (*Image, error) {
 		va += uint64(len(m.Bytes))
 	}
 
-	// Global symbol table.
-	for name, refs := range inputs {
+	// Global symbol table. Both passes walk the sections in layout order,
+	// not map order, so a failing link always reports the same symbol.
+	for _, name := range order {
+		refs := inputs[name]
 		base := secVA[name]
 		for _, ref := range refs {
 			for _, sym := range ref.sec.Symbols {
@@ -158,7 +160,8 @@ func Link(cfg LinkConfig, objects ...*Object) (*Image, error) {
 
 	// Relocation. The section's ISA selects the relocation repertoire the
 	// paper's modified linker dispatches on by section name.
-	for name, refs := range inputs {
+	for _, name := range order {
+		refs := inputs[name]
 		base := secVA[name]
 		seg := findSegment(im, name)
 		for _, ref := range refs {

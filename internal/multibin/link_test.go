@@ -245,6 +245,20 @@ func TestLinkErrors(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+	t.Run("first undefined symbol in layout order", func(t *testing.T) {
+		// Undefined references in several sections: the error must name
+		// the same one every time (the host text's, laid out first), not
+		// whichever section map iteration visits first.
+		src := ".func main isa=host\n call nowhere_host\n halt\n.endfunc\n" +
+			".func f isa=nxp\n call nowhere_nxp\n ret\n.endfunc\n" +
+			".func g isa=cmp\n call nowhere_cmp\n ret\n.endfunc"
+		for range 20 {
+			_, err := Link(LinkConfig{}, assembleT(t, src))
+			if err == nil || !strings.Contains(err.Error(), `"nowhere_host": undefined`) {
+				t.Fatalf("err = %v, want nowhere_host undefined", err)
+			}
+		}
+	})
 	t.Run("duplicate symbol", func(t *testing.T) {
 		src := ".func main isa=host\n ret\n.endfunc"
 		_, err := Link(LinkConfig{}, assembleT(t, src), assembleT(t, src))

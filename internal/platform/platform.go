@@ -556,9 +556,10 @@ func (m *Machine) buildCores() {
 	if nHost <= 0 {
 		nHost = 1
 	}
-	// Injected ghost faults, shared across cores: one stream, drawn in
-	// deterministic execution order.
-	spurious := m.Injector.RollFn("cpu", "spurious")
+	// Injected ghost faults: one cpu.spurious rule, drawn from a private
+	// stream per core, so one core's instruction count never shifts
+	// another core's rolls.
+	spurious := func(core string) func() bool { return m.Injector.RollFn("cpu", "spurious", core) }
 	for i := 0; i < nHost; i++ {
 		name := fmt.Sprintf("host%d", i)
 		hITLB := tlb.New(name+"-itlb", p.HostITLB)
@@ -575,7 +576,7 @@ func (m *Machine) buildCores() {
 			FetchCost:     func(uint64) sim.Duration { return p.HostFetchLine },
 			ICacheLines:   p.HostICacheLines,
 			Natives:       m.Natives,
-			SpuriousFault: spurious,
+			SpuriousFault: spurious(name),
 		}))
 		m.coreTLBSets = append(m.coreTLBSets,
 			coreTLBSet{name: name, core: m.Hosts[i], tlbs: []*tlb.TLB{hITLB, hDTLB}})
@@ -611,7 +612,7 @@ func (m *Machine) buildCores() {
 		FetchCost:     m.boardFetchCost(b0),
 		ICacheLines:   p.NxPICacheLines,
 		Natives:       m.Natives,
-		SpuriousFault: spurious,
+		SpuriousFault: spurious(b0Name),
 	})
 	b0.NxP = m.NxP
 	m.coreTLBSets = append(m.coreTLBSets,
@@ -635,7 +636,7 @@ func (m *Machine) buildCores() {
 			FetchCost:     m.boardFetchCost(b0),
 			ICacheLines:   p.NxPICacheLines,
 			Natives:       m.Natives,
-			SpuriousFault: spurious,
+			SpuriousFault: spurious("dsp0"),
 		})
 		m.coreTLBSets = append(m.coreTLBSets,
 			coreTLBSet{name: "dsp0", core: m.DSP, tlbs: []*tlb.TLB{dITLB, dDTLB}})
@@ -664,7 +665,7 @@ func (m *Machine) buildCores() {
 			FetchCost:     m.boardFetchCost(b),
 			ICacheLines:   p.NxPICacheLines,
 			Natives:       m.Natives,
-			SpuriousFault: spurious,
+			SpuriousFault: spurious(name),
 		})
 		m.coreTLBSets = append(m.coreTLBSets,
 			coreTLBSet{name: name, core: b.NxP, tlbs: []*tlb.TLB{iT, dT}})

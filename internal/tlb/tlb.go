@@ -77,7 +77,7 @@ type TLB struct {
 	// Lookup hit that reorders entries. A Lookup hit on the entry that is
 	// already most-recently-used leaves gen unchanged — its only state
 	// change is hits++, which CountHit replicates. The MMU's
-	// last-translation fast path caches (va page, Result, gen) and is valid
+	// last-translation fast path caches (va, Result, gen) and is valid
 	// exactly while gen is unchanged, because an unchanged gen proves a
 	// real Lookup would be an MRU hit returning the same Result.
 	gen uint64
@@ -146,37 +146,69 @@ func (t *TLB) CountHit() { t.hits++ }
 // proven (same page, unchanged Gen) would each be MRU hits.
 func (t *TLB) CountHits(n int) { t.hits += uint64(n) }
 
-// Result is a successful translation.
+// Result is a successful translation. Its fields are ordered so Flags and
+// Hit share one word: a result is copied on every translation, and the
+// packed layout keeps it at 32 bytes.
 type Result struct {
 	Phys     uint64 // final physical address (post-remap, requester view)
-	Flags    paging.Flags
 	PageSize uint64
+	Flags    paging.Flags
 	Hit      bool // satisfied from the TLB (or a hole) without a walk
 
-	// Linear reports that the whole 4 KiB frame around the translated
-	// address maps with one uniform delta: no hole intersects the virtual
-	// frame and the BAR remaps shift both ends of the raw physical frame
-	// equally. Only such results may feed same-page fast paths that add an
-	// offset instead of re-translating. Set by Lookup entry hits and
-	// Insert; hole results and Peek/ResultFor leave it false.
-	Linear bool
+	// Span is the size of the naturally aligned virtual block around the
+	// translated address that maps with one uniform delta (0: none). It
+	// is the whole page when no hole intersects the page's virtual range
+	// and every BAR remap window holds the raw page entirely or misses
+	// it; failing that, the 4 KiB frame when the same holds for the
+	// frame; otherwise 0. Only addresses inside the span may be answered
+	// by adding an offset to this result instead of re-translating. Set
+	// by Lookup entry hits and Insert; hole results and Peek/ResultFor
+	// leave it 0.
+	Span uint64
 }
 
-// frameLinear reports whether the 4 KiB virtual frame at vaFrame, whose
-// raw (pre-remap) physical frame starts at rawFrame, translates with one
-// uniform offset. Both arguments are 4 KiB-aligned.
-func (t *TLB) frameLinear(vaFrame, rawFrame uint64) bool {
+// linearSpan computes Result.Span for va translated through e.
+func (t *TLB) linearSpan(e Entry, va uint64) uint64 {
+	if t.uniform(e.VABase, e.PhysBase, e.PageSize) {
+		return e.PageSize
+	}
+	if e.PageSize == paging.PageSize4K {
+		return 0
+	}
+	frame := va &^ (paging.PageSize4K - 1)
+	if t.uniform(frame, e.PhysBase+(frame-e.VABase), paging.PageSize4K) {
+		return paging.PageSize4K
+	}
+	return 0
+}
+
+// uniform reports whether the size-byte virtual range at vaBase, whose
+// raw (pre-remap) physical range starts at rawBase, translates with one
+// uniform offset: no hole intersects the virtual range, and no remap
+// window splits the raw range (each holds it entirely or misses it, so
+// the first window that holds it shifts every byte alike).
+func (t *TLB) uniform(vaBase, rawBase, size uint64) bool {
 	for _, h := range t.holes {
 		// Wrap-safe overlap test: any overlap puts one range's start
 		// inside the other.
-		if vaFrame-h.VABase < h.Size || h.VABase-vaFrame < paging.PageSize4K {
+		if vaBase-h.VABase < h.Size || h.VABase-vaBase < size {
 			return false
 		}
 	}
-	if len(t.remaps) == 0 {
-		return true
+	last := rawBase + size - 1
+	for _, r := range t.remaps {
+		if !r.Active() {
+			continue
+		}
+		if rawBase-r.HostBase < r.Size {
+			if last-r.HostBase >= r.Size {
+				return false // starts inside, ends beyond
+			}
+		} else if r.HostBase-rawBase < size {
+			return false // window starts inside the range
+		}
 	}
-	return t.applyRemap(rawFrame+paging.PageSize4K-1)-t.applyRemap(rawFrame) == paging.PageSize4K-1
+	return true
 }
 
 // Lookup translates va if a hole or cached entry covers it. The boolean
@@ -204,13 +236,12 @@ func (t *TLB) Lookup(va uint64) (Result, bool) {
 				t.gen++
 			}
 			t.hits++
-			raw := e.PhysBase + (va - e.VABase)
 			return Result{
-				Phys:     t.applyRemap(raw),
+				Phys:     t.applyRemap(e.PhysBase + (va - e.VABase)),
 				Flags:    e.Flags,
 				PageSize: e.PageSize,
 				Hit:      true,
-				Linear:   t.frameLinear(va&^(paging.PageSize4K-1), raw&^(paging.PageSize4K-1)),
+				Span:     t.linearSpan(e, va),
 			}, true
 		}
 	}
@@ -273,13 +304,12 @@ func (t *TLB) Insert(va uint64, w paging.Walk) Result {
 	}
 	t.entries = append(t.entries, e)
 	t.gen++
-	raw := w.PageBase + (va - e.VABase)
 	return Result{
-		Phys:     t.applyRemap(raw),
+		Phys:     t.applyRemap(w.PageBase + (va - e.VABase)),
 		Flags:    w.Flags,
 		PageSize: w.PageSize,
 		Hit:      false,
-		Linear:   t.frameLinear(va&^(paging.PageSize4K-1), raw&^(paging.PageSize4K-1)),
+		Span:     t.linearSpan(e, va),
 	}
 }
 

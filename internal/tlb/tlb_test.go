@@ -211,3 +211,68 @@ func TestHoleAtAddressSpaceTop(t *testing.T) {
 		t.Error("peek missed hole at top")
 	}
 }
+
+// TestResultSpan pins Result.Span, the linear window the MMU's
+// last-translation fast path offsets within: the whole page unless a
+// hole intersects the page's virtual range or a remap window splits the
+// raw page, then the 4 KiB frame when the frame itself is clean, else 0.
+func TestResultSpan(t *testing.T) {
+	const (
+		g     = paging.PageSize1G
+		frame = paging.PageSize4K
+		va    = 1 << 30     // the 1 GiB page's virtual base
+		raw   = 4 << 30     // its raw physical base
+		mid   = 0x2000_0000 // an offset well inside the page
+	)
+	cases := []struct {
+		name   string
+		size   uint64 // page size of the entry
+		holes  []Hole
+		remaps []Remap
+		off    uint64 // translated offset into the page
+		want   uint64
+	}{
+		{name: "clean huge page", size: g, off: mid, want: g},
+		{name: "hole inside page", size: g, off: 0, want: frame,
+			holes: []Hole{{VABase: va + mid, Size: 0x10000, PhysBase: 0x8000_0000}}},
+		{name: "hole inside frame", size: g, off: mid, want: 0,
+			holes: []Hole{{VABase: va + mid + 0x800, Size: 0x100, PhysBase: 0x8000_0000}}},
+		{name: "holes adjacent to page", size: g, off: mid, want: g,
+			holes: []Hole{
+				{VABase: va - 0x10000, Size: 0x10000, PhysBase: 0x8000_0000},
+				{VABase: va + g, Size: 0x10000, PhysBase: 0x8001_0000},
+			}},
+		{name: "remap holds part of raw page", size: g, off: 0, want: frame,
+			remaps: []Remap{{HostBase: raw + mid, Size: 0x1000_0000, Delta: 0x1_0000_0000}}},
+		{name: "remap holds start of raw page", size: g, off: mid, want: frame,
+			remaps: []Remap{{HostBase: raw - mid, Size: 2 * mid, Delta: 0x1_0000_0000}}},
+		{name: "remap holds whole raw page", size: g, off: mid, want: g,
+			remaps: []Remap{{HostBase: raw - g, Size: 4 * g, Delta: 0x1_0000_0000}}},
+		{name: "remap misses raw page", size: g, off: mid, want: g,
+			remaps: []Remap{{HostBase: raw + g, Size: g, Delta: 0x1_0000_0000}}},
+		{name: "remap edge inside frame", size: g, off: mid, want: 0,
+			remaps: []Remap{{HostBase: raw + mid + 0x800, Size: 0x1000_0000, Delta: 0x1_0000_0000}}},
+		{name: "clean 4K page", size: frame, off: 0x10, want: frame},
+		{name: "hole on 4K page", size: frame, off: 0x10, want: 0,
+			holes: []Hole{{VABase: va + 0x800, Size: 0x100, PhysBase: 0x8000_0000}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := New("d-tlb", 4)
+			for _, h := range tc.holes {
+				tl.AddHole(h)
+			}
+			for _, r := range tc.remaps {
+				tl.AddRemap(r)
+			}
+			ins := tl.Insert(va+tc.off, walkFor(va+tc.off, raw, tc.size, paging.Flags{}))
+			hit, ok := tl.Lookup(va + tc.off)
+			if !ok {
+				t.Fatal("inserted entry missed")
+			}
+			if ins.Span != tc.want || hit.Span != tc.want {
+				t.Errorf("Span = %#x (Insert), %#x (Lookup), want %#x", ins.Span, hit.Span, tc.want)
+			}
+		})
+	}
+}
