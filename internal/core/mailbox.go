@@ -95,6 +95,16 @@ type Mailbox struct {
 	// scanInflight), so a migration timeout can never race a still-in-
 	// flight descriptor into a double dispatch.
 	n2hBusy [mailboxSlots]bool
+	// n2hHeld marks N2H slots whose descriptor has arrived in the host
+	// arrival buffer for n2hHolder but has not been consumed by TakeN2H.
+	// Neither a busy nor a held slot may be staged again: the new
+	// descriptor would overwrite one a thread has yet to read. Threads
+	// waiting out a lost MSI hold their slot until the probe recovers it,
+	// so under load the board blocks on n2hFreed instead of lapping them.
+	n2hHeld   [mailboxSlots]bool
+	n2hHolder [mailboxSlots]uint32
+	n2hFreed  *sim.Cond
+	n2hOpen   func() bool // n2hHasFree, bound once for WaitFor
 	// scanInflight extends PendingFor to the in-flight slots above. Set
 	// only on multi-board platforms: single-board probes keep their
 	// historical answers bit-for-bit.
@@ -181,7 +191,9 @@ func newMailbox(m *platform.Machine, b *platform.Board, hostStaging, hostArrival
 		fail:         fail,
 		schedQ:       make(map[isa.ISA][]int),
 		schedC:       make(map[isa.ISA]*sim.Cond),
+		n2hFreed:     m.Env.NewCond("mailbox" + sfx + ".n2h.free"),
 	}
+	mb.n2hOpen = mb.n2hHasFree
 	if m.Injector != nil {
 		reg := m.Env.Metrics()
 		mb.mDMARetries = reg.Counter("migration.dma_retries")
@@ -321,6 +333,7 @@ func (mb *Mailbox) retryDMA(dir, tag string, slot, attempt int, descPA uint64, r
 		mb.busyH2N[slot] = false
 	case "n2h":
 		mb.n2hBusy[slot] = false
+		mb.n2hFreed.Broadcast()
 	}
 	if mb.fail == nil {
 		return
@@ -456,8 +469,14 @@ func (mb *Mailbox) WaitH2N(p *sim.Proc, pid uint32, is isa.ISA) int {
 // next outbound staging slot, its index, and the sequence number to stamp
 // into the descriptor: local BRAM normally, the host arrival buffer
 // directly in PIO mode. The NxP migration handler or scheduler writes the
-// descriptor there, then rings the N2H doorbell.
-func (mb *Mailbox) StageN2HSlot() (localPA uint64, slot int, seq uint32) {
+// descriptor there, then rings the N2H doorbell. Slots still in flight or
+// holding an unconsumed arrival are skipped; when all of them are, the
+// calling board process blocks until the host consumes one.
+func (mb *Mailbox) StageN2HSlot(p *sim.Proc) (localPA uint64, slot int, seq uint32) {
+	p.WaitFor(mb.n2hFreed, mb.n2hOpen)
+	for !mb.n2hUsable(mb.n2hCur % mailboxSlots) {
+		mb.n2hCur++
+	}
 	slot = mb.n2hCur % mailboxSlots
 	mb.n2hCur++
 	seq = mb.nextSeq()
@@ -466,6 +485,27 @@ func (mb *Mailbox) StageN2HSlot() (localPA uint64, slot int, seq uint32) {
 	}
 	mb.n2hBusy[slot] = true
 	return mb.bramLocal + n2hStagingOff + uint64(slot)*DescSize, slot, seq
+}
+
+// n2hUsable reports whether N2H slot may be staged: no descriptor of its
+// is in flight or waiting in the arrival buffer.
+func (mb *Mailbox) n2hUsable(slot int) bool { return !mb.n2hBusy[slot] && !mb.n2hHeld[slot] }
+
+// n2hHasFree reports whether any N2H slot may be staged.
+func (mb *Mailbox) n2hHasFree() bool {
+	for slot := range mailboxSlots {
+		if mb.n2hUsable(slot) {
+			return true
+		}
+	}
+	return false
+}
+
+// releaseN2H makes a held N2H slot stageable again and wakes boards
+// blocked on a full ring.
+func (mb *Mailbox) releaseN2H(slot int) {
+	mb.n2hHeld[slot] = false
+	mb.n2hFreed.Broadcast()
 }
 
 // kickN2H DMAs a staged descriptor from BRAM into the host arrival buffer
@@ -511,8 +551,21 @@ func (mb *Mailbox) n2hArrived(slot int) {
 		mb.env.Emit(sim.Event{Comp: mb.comp, Kind: sim.KindMailbox, Aux: uint64(slot), Note: "duplicate n2h delivery dropped"})
 		return
 	}
+	if mb.n2hHeld[slot] && mb.n2hHolder[slot] != d.PID {
+		// StageN2HSlot never reuses a held slot, so this arrival has
+		// already overwritten another thread's unread return: refuse to
+		// hand it out under the wrong PID.
+		panic(fmt.Sprintf("core: n2h arrival for pid %d in slot %d overwrote pid %d's unconsumed descriptor",
+			d.PID, slot, mb.n2hHolder[slot]))
+	}
 	mb.n2hBusy[slot] = false
 	mb.n2hSeq[slot] = d.Seq
+	if old, ok := mb.n2hPending[d.PID]; ok && old != slot {
+		// A newer descriptor for the same thread supersedes an unread
+		// one; its slot is free again.
+		mb.releaseN2H(old)
+	}
+	mb.n2hHeld[slot], mb.n2hHolder[slot] = true, d.PID
 	mb.n2hPending[d.PID] = slot
 	mb.wake(int(d.PID))
 }
@@ -581,13 +634,17 @@ func (mb *Mailbox) HasWaiter(pid uint32, is isa.ISA) bool {
 }
 
 // TakeN2H returns the host-DRAM physical address of the pending arrival
-// descriptor for pid, consuming the pending note.
+// descriptor for pid, consuming the pending note and releasing its slot.
+// The caller reads the descriptor right away: a board restaging the slot
+// must still write, doorbell and DMA a new descriptor before the arrival
+// buffer changes, which takes far longer than the host's read.
 func (mb *Mailbox) TakeN2H(pid uint32) (uint64, bool) {
 	slot, ok := mb.n2hPending[pid]
 	if !ok {
 		return 0, false
 	}
 	delete(mb.n2hPending, pid)
+	mb.releaseN2H(slot)
 	return mb.hostArrival + uint64(slot)*DescSize, true
 }
 

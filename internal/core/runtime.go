@@ -383,7 +383,7 @@ func (rt *Runtime) failTask(pid uint32, err error) {
 func (rt *Runtime) sendReturnToHost(p *sim.Proc, mb *Mailbox, pid uint32, ret uint64) {
 	p.Sleep(rt.Costs.NxPHandlerWork)
 	d := Descriptor{Kind: DescReturn, PID: pid, RetVal: ret}
-	local, slot, seq := mb.StageN2HSlot()
+	local, slot, seq := mb.StageN2HSlot(p)
 	d.Seq = seq
 	rt.writeDescNxP(p, local, d)
 	rt.ringDoorbell(p, mb, regN2HDoorbell, slot)

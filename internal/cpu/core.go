@@ -94,6 +94,11 @@ type Core struct {
 	icache *icache
 	pd     *sbCache // nil when disabled (Config.NoSuperblocks / escape hatch)
 
+	// run is the block executor's state and resumeFn its continuation
+	// (c.resume, bound once so handing it to SleepThen allocates nothing).
+	run      sbRun
+	resumeFn func() (sim.Duration, bool)
+
 	ctx    *Context
 	halted bool
 
@@ -136,6 +141,7 @@ func New(cfg Config) *Core {
 	}
 	if !cfg.NoSuperblocks && !sim.FastPathsDisabled() {
 		c.pd = newSBCache(c.codec)
+		c.resumeFn = c.resume
 	}
 	return c
 }

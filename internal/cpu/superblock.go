@@ -54,13 +54,15 @@ const (
 )
 
 // sbIns is one member instruction of a superblock: its pre-resolved
-// handler, decoded form, encoded length, cycle price, and class.
+// handler, decoded form, encoded length and cycle price. body marks a
+// handler that may sleep or fault (a data access or a faulting op): it
+// must run on the process's own coroutine, never from the event loop.
 type sbIns struct {
-	fn    opFn
-	ins   isa.Instr
-	n     uint8
-	cyc   uint16
-	class isa.StepClass
+	fn   opFn
+	ins  isa.Instr
+	n    uint8
+	cyc  uint16
+	body bool
 }
 
 // superblock is one decoded straight-line run, tagged by the physical
@@ -230,12 +232,13 @@ func (c *Core) buildBlock(pa uint64) *superblock {
 		if int(ins.Op) >= isa.NumOps || opTable[ins.Op] == nil || uint64(n)%align != 0 {
 			break
 		}
-		if class == isa.StepFaulty || class == isa.StepMemory {
+		body := class == isa.StepFaulty || class == isa.StepMemory
+		if body {
 			pure = false
 		}
 		cyc := c.codec.StepCycles(ins, n)
 		members = append(members, sbIns{
-			fn: opTable[ins.Op], ins: ins, n: uint8(n), cyc: uint16(cyc), class: class,
+			fn: opTable[ins.Op], ins: ins, n: uint8(n), cyc: uint16(cyc), body: body,
 		})
 		cycles += uint64(cyc)
 		off += uint64(n)
@@ -281,29 +284,118 @@ func (c *Core) linesResident(b *superblock) bool {
 	return true
 }
 
+// sbPhase is where the block executor stands within the member it is
+// running (see advance).
+type sbPhase uint8
+
+const (
+	sbEnter  sbPhase = iota // at a block head: try aggregate mode
+	sbFetch                 // member prechecks, spurious poll, fetch
+	sbFill                  // the member's I-cache fill sleep parked
+	sbCheck                 // the member's uncached fetch sleep parked
+	sbExec                  // charge the member's cycles
+	sbRetire                // the execute sleep is over: retire, run handler
+	sbPost                  // the handler has run (its error is in sbRun.err)
+)
+
+// sbWant says why the block executor handed control back to the body.
+type sbWant uint8
+
+const (
+	sbDone   sbWant = iota // the Step is over; it returns sbRun.err
+	sbHandle               // run the member's handler, which may sleep
+	sbFault                // deliver the spurious fault sbRun.fault
+	sbDecode               // finish the member at sbRun.ipa from a fresh decode
+)
+
+// sbRun is the resumable state of one Step's block run: the member loop
+// as a state machine, so that both the process body (blockStep) and the
+// event loop (through Proc.SleepThen) can drive it. It lives in the Core
+// and the continuation is a method value stored at construction, so a
+// step allocates nothing.
+type sbRun struct {
+	p       *sim.Proc
+	b       *superblock
+	i       int    // member being run
+	off     uint64 // its offset from b.pa
+	pc      uint64 // its PC
+	flushes uint64 // the cache's flush count when b was looked up
+	budget  int    // instructions this Step may still retire
+	fetched bool   // member i's fetch phase is already charged
+	phase   sbPhase
+	line    uint64 // I-cache line awaiting fill (sbFill)
+
+	want  sbWant
+	err   error
+	fault *Fault
+	ipa   uint64
+}
+
 // blockStep executes block b — whose head instruction Step has already
 // fully fetched (translated, permission-checked, I-cache charged) — and
-// then chains into successor blocks while the budget lasts.
+// then chains into successor blocks while the budget lasts. The executor
+// runs in advance; the body only sleeps for it and does the work that
+// needs a process of its own: handlers that may sleep or fault, fault
+// delivery, and fresh decodes.
 func (c *Core) blockStep(p *sim.Proc, b *superblock) error {
-	budget := sbChainBudget
-	entryFetched := true
+	if c.run.b != nil {
+		// A handler run by this Step re-entered the core (a fault hook
+		// calling back into it): keep the outer run's state.
+		outer := c.run
+		err := c.runBlocks(p, b)
+		c.run = outer
+		return err
+	}
+	return c.runBlocks(p, b)
+}
+
+func (c *Core) runBlocks(p *sim.Proc, b *superblock) error {
+	c.run = sbRun{p: p, b: b, budget: sbChainBudget, fetched: true, flushes: c.pd.flushes}
+	r := &c.run
 	for {
-		nb, cont, err := c.execBlock(p, b, &budget, entryFetched)
-		if err != nil || !cont {
-			return err
+		if d, more := c.advance(true); more {
+			// A sleep that cannot advance in place parks through
+			// SleepThen, which hands resume to the event loop: the loop
+			// keeps stepping the run at this process's wakeups until it
+			// needs the body again.
+			p.SleepThen(d, c.resumeFn)
 		}
-		b = nb
-		entryFetched = false
+		switch r.want {
+		case sbHandle:
+			m := &r.b.ins[r.i]
+			r.err = m.fn(c, p, m.ins, r.pc+uint64(m.n))
+			continue
+		case sbFault:
+			f := r.fault
+			*r = sbRun{}
+			c.faults++
+			if c.cfg.Fault != nil {
+				return c.cfg.Fault(p, c, f)
+			}
+			return f
+		case sbDecode:
+			ipa := r.ipa
+			*r = sbRun{}
+			return c.stepDecoded(p, ipa)
+		}
+		err := r.err
+		*r = sbRun{}
+		return err
 	}
 }
 
-// execBlock runs one block. entryFetched says the head's fetch phase was
-// already performed (by Step's real fetch); for chained blocks the
-// executor replicates it. It returns the next block to chain into, or
-// cont=false when this Step is done (the next instruction, if any, goes
-// through the normal Step path).
+// advance runs the block executor until it needs virtual time to pass
+// that it cannot advance in place — it returns the sleep and true, and
+// expects to be called again once the sleep is over — or needs the body:
+// it returns false with run.want saying what for. (An in-place advance
+// is the same check SleepThen would make, taken here so the common
+// single-core case stays inside this loop.) It never sleeps itself
+// except through a handler run in the body (inBody), so the event loop
+// may call it through resume; every step mutates the same state in the
+// same order whichever side calls it, which is what keeps the two
+// byte-identical.
 //
-// Two modes:
+// Blocks run in one of two modes.
 //
 // Aggregate: when the block is pure (no member can fault, sleep on data,
 // or consume fault-injection randomness), the translation window covers
@@ -323,156 +415,227 @@ func (c *Core) blockStep(p *sim.Proc, b *superblock) error {
 // poll, which consumes PRNG state) whenever a precondition no longer
 // holds, so the next Step re-enters the ordinary path with nothing
 // consumed and nothing skipped.
-func (c *Core) execBlock(p *sim.Proc, b *superblock, budget *int, entryFetched bool) (*superblock, bool, error) {
-	ctx := c.ctx
-	env := p.Env()
+func (c *Core) advance(inBody bool) (sim.Duration, bool) {
+	r := &c.run
+	p := r.p
 	immu := c.cfg.IMMU
-	k := len(b.ins)
-
-	if b.pure && c.cfg.SpuriousFault == nil && *budget >= k {
-		if _, ok := immu.RepeatPeek(ctx.PC); ok && c.linesResident(b) && p.TrySleepInPlace(b.cost) {
-			// Committed: time has advanced by the whole block. Settle the
-			// fetch-side counters for every member whose fetch Step didn't
-			// already perform, then the execute-side ones, then run the
-			// handlers back to back.
-			repl := k
-			if entryFetched {
-				repl--
-			}
-			immu.CountRepeatHits(repl)
-			if c.icache != nil {
-				c.icache.countHits(uint64(repl))
-			}
-			c.cycles += b.cycles
-			c.instret += uint64(k)
-			*budget -= k
-			for i := range b.ins {
-				m := &b.ins[i]
-				if err := m.fn(c, p, m.ins, ctx.PC+uint64(m.n)); err != nil {
-					return nil, false, err
-				}
-				if c.halted {
-					return nil, false, nil
-				}
-			}
-			return c.chain(budget)
-		}
-	}
-
-	// seq is the interleaving sentinel: unchanged means no other process
-	// ran and nothing was enqueued since the snapshot, so every cached
-	// precondition (translation window, code freshness, permissions)
-	// still holds by construction.
-	seq := env.SchedSeq()
-	var off uint64
-	for i := range b.ins {
-		m := &b.ins[i]
-		pc := ctx.PC
-		if i > 0 || !entryFetched {
-			// Pure prechecks first — anything that fails here aborts with
-			// no observable state consumed.
-			if *budget <= 0 || env.SchedSeq() != seq {
-				return nil, false, nil
-			}
-			if _, ok := immu.RepeatPeek(pc); !ok {
-				return nil, false, nil
-			}
-			if !c.pd.fresh() {
-				return nil, false, nil
-			}
-			// Commit point: the spurious-fault poll consumes PRNG state,
-			// so from here this member must run (or spuriously fault)
-			// exactly once, mirroring Step's prologue.
-			if c.cfg.SpuriousFault != nil && c.cfg.SpuriousFault() {
-				f := &Fault{Kind: FaultFetchNX, ISA: c.cfg.ISA, VA: pc, PC: pc, Spurious: true}
-				c.faults++
-				if c.cfg.Fault != nil {
-					if err := c.cfg.Fault(p, c, f); err != nil {
-						return nil, false, err
+	// The phases of one member follow each other in case order, so the
+	// common path falls through them and dispatches once per member.
+	for {
+		b := r.b
+		switch r.phase {
+		case sbEnter:
+			k := len(b.ins)
+			if b.pure && c.cfg.SpuriousFault == nil && r.budget >= k {
+				if _, ok := immu.RepeatPeek(c.ctx.PC); ok && c.linesResident(b) && p.TrySleepInPlace(b.cost) {
+					// Committed: time has advanced by the whole block.
+					// Settle the fetch-side counters for every member
+					// whose fetch Step didn't already perform, then the
+					// execute-side ones, then run the handlers back to
+					// back.
+					repl := k
+					if r.fetched {
+						repl--
 					}
-					return nil, false, nil
-				}
-				return nil, false, f
-			}
-			// Fetch phase, replicated: the translation is answered by the
-			// window RepeatPeek just validated (counted identically to the
-			// Translate fast path), the I-cache is driven for real.
-			immu.CountRepeatHit()
-			ipa := b.pa + off
-			if c.icache != nil {
-				if line, hit := c.icache.lookup(ipa); !hit {
-					p.Sleep(c.cfg.FetchCost(ipa))
-					c.icache.fill(line)
-				}
-			} else if c.cfg.FetchCost != nil {
-				p.Sleep(c.cfg.FetchCost(ipa))
-			}
-			if env.SchedSeq() != seq {
-				// The fill slept through the queue: another process may
-				// have run. Re-validate the one thing that matters for the
-				// already-decoded member — code freshness; if it fails,
-				// finish this instruction through a fresh decode (its
-				// fetch phase is fully charged) and abandon the block.
-				seq = env.SchedSeq()
-				if !c.pd.fresh() {
-					c.pd.flush()
-					return nil, false, c.stepDecoded(p, ipa)
+					immu.CountRepeatHits(repl)
+					if c.icache != nil {
+						c.icache.countHits(uint64(repl))
+					}
+					c.cycles += b.cycles
+					c.instret += uint64(k)
+					r.budget -= k
+					for i := range b.ins {
+						m := &b.ins[i]
+						if err := m.fn(c, p, m.ins, c.ctx.PC+uint64(m.n)); err != nil {
+							return r.done(err)
+						}
+						if c.halted {
+							return r.done(nil)
+						}
+					}
+					if !c.chain() {
+						return r.done(nil)
+					}
+					continue
 				}
 			}
-		}
-		// Execute phase, identical to execute() with the backend's
-		// StepCycles pre-folded into m.cyc.
-		c.cycles += uint64(m.cyc)
-		p.Sleep(sim.Duration(m.cyc) * c.cfg.CycleTime)
-		c.instret++
-		*budget--
-		if err := m.fn(c, p, m.ins, pc+uint64(m.n)); err != nil {
-			return nil, false, err
-		}
-		if c.halted {
-			return nil, false, nil
-		}
-		if i < k-1 && ctx.PC != pc+uint64(m.n) {
-			// Control left the straight line mid-block: a handled fault
-			// redirected the PC (Flick's migration hijack) or held it for
-			// re-execution. Either way the next instruction must go
-			// through the ordinary Step path.
-			return nil, false, nil
-		}
-		off += uint64(m.n)
-		if p.Env().SchedSeq() != seq {
-			// A data access or fault handler slept through the queue; the
-			// cheap invariants are gone, so resync for the next member's
-			// prechecks rather than carrying a stale snapshot.
-			seq = p.Env().SchedSeq()
+			r.i, r.off = 0, 0
+			r.phase = sbFetch
+			fallthrough
+
+		case sbFetch:
+			r.pc = c.ctx.PC
+			r.phase = sbExec
+			if !r.fetched {
+				// Pure prechecks first — anything that fails here aborts
+				// with no observable state consumed.
+				if r.budget <= 0 {
+					return r.done(nil)
+				}
+				if _, ok := immu.RepeatPeek(r.pc); !ok {
+					return r.done(nil)
+				}
+				if !c.decodeValid() {
+					return r.done(nil)
+				}
+				// Commit point: the spurious-fault poll consumes PRNG
+				// state, so from here this member must run (or
+				// spuriously fault) exactly once, mirroring Step's
+				// prologue.
+				if c.cfg.SpuriousFault != nil && c.cfg.SpuriousFault() {
+					r.fault = &Fault{Kind: FaultFetchNX, ISA: c.cfg.ISA, VA: r.pc, PC: r.pc, Spurious: true}
+					r.want = sbFault
+					return 0, false
+				}
+				// Fetch phase, replicated: the translation is answered by
+				// the window RepeatPeek just validated (counted
+				// identically to the Translate fast path), the I-cache is
+				// driven for real.
+				immu.CountRepeatHit()
+				ipa := b.pa + r.off
+				slept := false
+				if c.icache != nil {
+					if line, hit := c.icache.lookup(ipa); !hit {
+						r.line, r.phase, slept = line, sbFill, true
+					}
+				} else if c.cfg.FetchCost != nil {
+					r.phase, slept = sbCheck, true
+				}
+				if slept {
+					if d := c.cfg.FetchCost(ipa); !p.TrySleepInPlace(d) {
+						return d, true
+					}
+					if !c.fetchSlept() {
+						return 0, false
+					}
+				}
+			}
+			fallthrough
+
+		case sbExec:
+			// Execute phase, identical to execute() with the backend's
+			// StepCycles pre-folded into m.cyc.
+			m := &b.ins[r.i]
+			c.cycles += uint64(m.cyc)
+			r.phase = sbRetire
+			if d := sim.Duration(m.cyc) * c.cfg.CycleTime; !p.TrySleepInPlace(d) {
+				return d, true
+			}
+			fallthrough
+
+		case sbRetire:
+			m := &b.ins[r.i]
+			c.instret++
+			r.budget--
+			r.phase = sbPost
+			if m.body && !inBody {
+				r.want = sbHandle
+				return 0, false
+			}
+			r.err = m.fn(c, p, m.ins, r.pc+uint64(m.n))
+			fallthrough
+
+		case sbPost:
+			if r.err != nil {
+				return r.done(r.err)
+			}
+			if c.halted {
+				return r.done(nil)
+			}
+			m := &b.ins[r.i]
+			last := r.i == len(b.ins)-1
+			if !last && c.ctx.PC != r.pc+uint64(m.n) {
+				// Control left the straight line mid-block: a handled
+				// fault redirected the PC (Flick's migration hijack) or
+				// held it for re-execution. Either way the next
+				// instruction must go through the ordinary Step path.
+				return r.done(nil)
+			}
+			r.fetched = false
+			if !last {
+				r.i++
+				r.off += uint64(m.n)
+				r.phase = sbFetch
+			} else if !c.chain() {
+				return r.done(nil)
+			}
+
+		case sbFill, sbCheck:
+			// Resumed after a fetch sleep that parked.
+			if !c.fetchSlept() {
+				return 0, false
+			}
 		}
 	}
-	return c.chain(budget)
+}
+
+// fetchSlept finishes the fetch phase of the run's member after its fetch
+// slept: it fills the I-cache line (sbFill) and, since another process
+// may have run meanwhile, re-validates the one thing that matters for
+// the already-decoded member — its decode. If that is void it sets up
+// the hand-back to finish this instruction through a fresh decode (its
+// fetch phase is fully charged) and returns false.
+func (c *Core) fetchSlept() bool {
+	r := &c.run
+	if r.phase == sbFill {
+		c.icache.fill(r.line)
+	}
+	r.phase = sbExec
+	if c.decodeValid() {
+		return true
+	}
+	if !c.pd.fresh() {
+		c.pd.flush()
+	}
+	r.ipa = r.b.pa + r.off
+	r.want = sbDecode
+	return false
+}
+
+// decodeValid reports whether the run's block still holds current
+// decode. A flush since the block was looked up voids that even when
+// fresh() agrees: a flush forgets the watched stores, so fresh() is
+// vacuously true afterwards and a later code write would go unnoticed.
+func (c *Core) decodeValid() bool {
+	return c.pd.flushes == c.run.flushes && c.pd.fresh()
+}
+
+// resume is advance as the event loop drives it, outside the body.
+func (c *Core) resume() (sim.Duration, bool) { return c.advance(false) }
+
+// done ends the run: the body returns err from the Step.
+func (r *sbRun) done(err error) (sim.Duration, bool) {
+	r.err = err
+	r.want = sbDone
+	return 0, false
 }
 
 // chain resolves the next block after a terminal control transfer (or a
-// fall-through off a capped block). Every condition a real fetch would
-// check is re-checked here against live state — alignment, same-page
-// translation, execute permission, cached decode — and any miss simply
-// ends the Step: faults are never raised at chain time, the ordinary
-// fetch path raises the real ones next Step.
-func (c *Core) chain(budget *int) (*superblock, bool, error) {
-	if *budget <= 0 {
-		return nil, false, nil
+// fall-through off a capped block) and, on success, points the run at its
+// head. Every condition a real fetch would check is re-checked here
+// against live state — alignment, same-page translation, execute
+// permission, cached decode — and any miss simply ends the Step: faults
+// are never raised at chain time, the ordinary fetch path raises the real
+// ones next Step.
+func (c *Core) chain() bool {
+	r := &c.run
+	if r.budget <= 0 {
+		return false
 	}
 	pc := c.ctx.PC
 	if align := uint64(c.codec.Align()); pc%align != 0 {
-		return nil, false, nil
+		return false
 	}
-	r, ok := c.cfg.IMMU.RepeatPeek(pc)
-	if !ok || !c.execOK(r.Flags) {
-		return nil, false, nil
+	res, ok := c.cfg.IMMU.RepeatPeek(pc)
+	if !ok || !c.execOK(res.Flags) {
+		return false
 	}
-	nb := c.pd.lookup(r.Phys)
+	nb := c.pd.lookup(res.Phys)
 	if nb == nil {
-		return nil, false, nil
+		return false
 	}
-	return nb, true, nil
+	r.b, r.fetched, r.phase, r.flushes = nb, false, sbEnter, c.pd.flushes
+	return true
 }
 
 // stepDecoded finishes one instruction whose fetch phase (translation,

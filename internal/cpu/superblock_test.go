@@ -517,3 +517,85 @@ func TestPredecodePhysicallyTaggedAcrossSetTables(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultHookReentersCoreMidBlock runs a fault hook that calls back into
+// the faulting core while the faulting load sits in the middle of a
+// cached block: the hook's Call executes blocks of its own, and the outer
+// block must resume from exactly where it stopped. Registers, retired
+// instructions and cycles must match the run without superblocks.
+func TestFaultHookReentersCoreMidBlock(t *testing.T) {
+	const src = `
+.func main isa=host
+    movi t0, 5
+    movi a1, 7
+    ld8  a0, [zr+0]
+    add  a0, a0, t0
+    add  a0, a0, a1
+    halt
+.endfunc
+.func helper isa=host
+    movi t1, 10
+    movi a0, 0
+l:
+    addi a0, a0, 3
+    addi t1, t1, -1
+    bne  t1, zr, l
+    ret
+.endfunc
+`
+	run := func(noSuperblocks bool) (ctx *cpu.Context, instret, cycles uint64, helperRet uint64) {
+		m := buildMachine(t, src)
+		mk := func(name string) *mmu.MMU {
+			return mmu.New(name, tlb.New(name, 64), m.tables, func(uint64) sim.Duration { return 10 * sim.Nanosecond }, 0)
+		}
+		var core *cpu.Core
+		core = cpu.New(cpu.Config{
+			Name: "host0", ISA: isa.ISAHost,
+			IMMU: mk("i"), DMMU: mk("d"),
+			Phys: m.phys, CycleTime: 417 * sim.Picosecond,
+			Natives:       m.nat,
+			NoSuperblocks: noSuperblocks,
+			Fault: func(p *sim.Proc, c *cpu.Core, f *cpu.Fault) error {
+				if f.Kind != cpu.FaultDataNotMapped {
+					return f
+				}
+				// Re-enter the core, then map the page and let the load
+				// re-execute.
+				ret, err := c.Call(p, m.image.Symbols["helper"])
+				if err != nil {
+					return err
+				}
+				helperRet = ret
+				if err := m.phys.WriteU64(0x3000, 100); err != nil {
+					return err
+				}
+				return m.tables.Map(0, 0x3000, paging.PageSize4K, paging.Flags{User: true, NX: true})
+			},
+		})
+		ctx = &cpu.Context{PC: m.image.Symbols["main"]}
+		ctx.SetReg(isa.SP, stackTop)
+		core.SetContext(ctx)
+		var err error
+		m.env.Spawn("run", func(p *sim.Proc) { err = core.Run(p, 1000) })
+		m.env.Run()
+		if !errors.Is(err, cpu.ErrHalted) {
+			t.Fatalf("noSuperblocks=%v: run ended with %v", noSuperblocks, err)
+		}
+		if !noSuperblocks && !sim.FastPathsDisabled() {
+			if hits, fills, _ := core.SuperblockStats(); hits+fills == 0 {
+				t.Fatal("the superblock cache was never used")
+			}
+		}
+		instret, cycles = core.Stats()
+		return ctx, instret, cycles, helperRet
+	}
+	wantCtx, wantInstret, wantCycles, wantHelper := run(true)
+	ctx, instret, cycles, helper := run(false)
+	if wantCtx.Reg(isa.A0) != 112 || wantHelper != 30 {
+		t.Fatalf("reference run: a0 = %d, helper returned %d; want 112 and 30", wantCtx.Reg(isa.A0), wantHelper)
+	}
+	if *ctx != *wantCtx || instret != wantInstret || cycles != wantCycles || helper != wantHelper {
+		t.Errorf("with superblocks: ctx %+v instret %d cycles %d helper %d\nwithout:          ctx %+v instret %d cycles %d helper %d",
+			*ctx, instret, cycles, helper, *wantCtx, wantInstret, wantCycles, wantHelper)
+	}
+}

@@ -41,6 +41,12 @@ type Env struct {
 	horizon Time
 	noFast  bool // FLICKSIM_NOSUPERBLOCK: force every Sleep through the queue
 
+	// handoffs counts coroutine resumptions (event-loop → body switches).
+	// Test-only visibility, like cpu.Core.SuperblockStats: deliberately
+	// not a registered metric, so the metrics JSON does not depend on how
+	// many switches the engine needed.
+	handoffs uint64
+
 	trace   *Trace
 	metrics *Metrics
 }
@@ -113,9 +119,10 @@ func (e *Env) Emit(ev Event) {
 // snapshot plus the recorded event trace.
 func (e *Env) Report() Report {
 	return Report{
-		Metrics: e.metrics.Snapshot(),
-		Events:  e.trace.Events(),
-		Dropped: e.trace.Dropped(),
+		Metrics:  e.metrics.Snapshot(),
+		Events:   e.trace.Events(),
+		Dropped:  e.trace.Dropped(),
+		Handoffs: e.handoffs,
 	}
 }
 
@@ -155,6 +162,11 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+
+	// cont is the continuation SleepThen handed the event loop: while set,
+	// the loop calls it at each of the process's wakeups instead of
+	// resuming the body.
+	cont func() (Duration, bool)
 
 	// waitOn is the condition this process is blocked on, if any.
 	waitOn *Cond
@@ -249,9 +261,13 @@ func (e *Env) step(ev event) {
 	}
 	e.now = ev.at
 	p.state = stateRunning
+	if p.cont != nil && p.drive() {
+		return
+	}
 	if p.next == nil {
 		p.start()
 	}
+	e.handoffs++
 	if _, ok := p.next(); !ok {
 		// The body returned; drop the coroutine so it can be collected.
 		p.next, p.stop, p.yield = nil, nil, nil
@@ -268,6 +284,31 @@ func (p *Proc) handoff() {
 	}
 }
 
+// drive runs p's continuation in the scheduler's context, as a timer
+// callback runs, at one of p's wakeups. Each sleep the continuation asks
+// for goes through the same in-place check and schedule call as Sleep, so
+// it advances the clock or parks with exactly the (at, seq) the body's
+// own Sleep would have used. drive reports whether p re-parked; false
+// means the continuation finished and the body must be resumed.
+func (p *Proc) drive() bool {
+	for {
+		d, more := p.cont()
+		if !more {
+			p.cont = nil
+			return false
+		}
+		if !p.TrySleepInPlace(d) {
+			p.env.schedule(p, p.env.now.Add(max(d, 0)))
+			return true
+		}
+	}
+}
+
+// Handoffs returns how many times the event loop has switched into a
+// process body (each start or resumption of a coroutine). Test-only
+// visibility, never registered as a metric.
+func (e *Env) Handoffs() uint64 { return e.handoffs }
+
 // Close releases every process that has not finished: each suspended
 // coroutine is stopped and its body unwound, and processes never
 // dispatched are dropped. Call it when the simulation is done with the
@@ -277,6 +318,7 @@ func (p *Proc) handoff() {
 func (e *Env) Close() {
 	for _, p := range e.procs {
 		p.body = nil
+		p.cont = nil
 		if stop := p.stop; stop != nil {
 			p.next, p.stop, p.yield = nil, nil, nil
 			stop()
@@ -399,17 +441,36 @@ func (p *Proc) Sleep(d Duration) {
 	p.handoff()
 }
 
+// SleepThen sleeps for d and then calls step; while step asks for another
+// sleep (more true) it sleeps for the returned duration and calls step
+// again, and it returns once step reports more false. Observably it is
+// exactly
+//
+//	for { p.Sleep(d); if d, more = step(); !more { return } }
+//
+// but a sleep that must park hands step to the event loop instead of
+// switching out of the body: the loop calls step in its own context at
+// each of the process's wakeups (as it runs AfterFunc callbacks) and
+// re-parks it through the same in-place check and schedule call Sleep
+// uses, so every wakeup keeps its exact (at, seq). The body resumes only
+// once step is done — a run of parked sleeps costs queue operations, not
+// coroutine switches. step must not sleep, wait, or otherwise block: it
+// runs with no coroutine of its own.
+func (p *Proc) SleepThen(d Duration, step func() (Duration, bool)) {
+	for p.TrySleepInPlace(d) {
+		var more bool
+		if d, more = step(); !more {
+			return
+		}
+	}
+	p.cont = step
+	p.env.schedule(p, p.env.now.Add(max(d, 0)))
+	p.handoff()
+}
+
 // Yield cedes control so that other processes scheduled at the current
 // time can run before this one continues.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// SchedSeq returns the scheduler's event sequence counter. It increments
-// every time anything is enqueued — another process scheduled, a timer
-// armed, or this process itself parking in the queue — so an unchanged
-// value across a stretch of work proves nothing else ran and the clock
-// only advanced via in-place sleeps. The superblock executor uses this to
-// detect (and bail out of) block execution when a fetch stall yields.
-func (e *Env) SchedSeq() uint64 { return e.seq }
 
 // TrySleepInPlace advances the clock by d if and only if the Sleep fast
 // path would apply — no queued event could run before the target time and
@@ -417,7 +478,8 @@ func (e *Env) SchedSeq() uint64 { return e.seq }
 // happened; on false the clock is untouched and the caller must fall back
 // to per-step Sleep calls. This lets a batch executor charge one merged
 // duration exactly when each constituent Sleep would also have taken the
-// in-place path, i.e. when merging is observationally invisible.
+// in-place path, i.e. when merging is observationally invisible. It never
+// blocks, so a SleepThen step may call it.
 func (p *Proc) TrySleepInPlace(d Duration) bool {
 	if d < 0 {
 		d = 0

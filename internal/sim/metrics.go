@@ -274,6 +274,10 @@ type Report struct {
 	Metrics Snapshot
 	Events  []Event
 	Dropped int
+	// Handoffs is Env.Handoffs at report time: how many coroutine
+	// switches the run took. Test-only visibility, never part of the
+	// metrics snapshot (a wall-clock property, not a simulated one).
+	Handoffs uint64
 }
 
 // ReportSource is anything that can produce a Report (an Env, or a system
