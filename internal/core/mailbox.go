@@ -130,6 +130,9 @@ type Mailbox struct {
 	schedC  map[isa.ISA]*sim.Cond
 	route   routeFn
 	waiters map[waiterKey]*mboxWaiter
+	// spare holds waiters whose frame has resumed, for RegisterWaiter to
+	// reuse: a board-to-host call registers one per crossing.
+	spare []*mboxWaiter
 
 	// Host-side arrival notes: pid → arrival slot.
 	n2hPending map[uint32]int
@@ -161,6 +164,8 @@ type mboxWaiter struct {
 	slot int
 	has  bool
 	cond *sim.Cond
+	// ready reports has; bound once so WaitH2N allocates no closure.
+	ready func() bool
 }
 
 // newMailbox wires one board's transport onto a machine. hostStaging/
@@ -447,7 +452,15 @@ func (mb *Mailbox) RegisterWaiter(pid uint32, is isa.ISA) {
 	if _, dup := mb.waiters[k]; dup {
 		panic(fmt.Sprintf("core: duplicate mailbox waiter for pid %d on %v", pid, is))
 	}
-	mb.waiters[k] = &mboxWaiter{cond: mb.env.NewCond(fmt.Sprintf("mbox.wait.%d.%v", pid, is))}
+	var w *mboxWaiter
+	if n := len(mb.spare); n > 0 {
+		w, mb.spare = mb.spare[n-1], mb.spare[:n-1]
+		w.slot, w.has = 0, false
+	} else {
+		w = &mboxWaiter{cond: mb.env.NewCond("mbox.wait")}
+		w.ready = func() bool { return w.has }
+	}
+	mb.waiters[k] = w
 }
 
 // WaitH2N blocks until a descriptor for (pid, core) arrives, unregisters
@@ -458,8 +471,9 @@ func (mb *Mailbox) WaitH2N(p *sim.Proc, pid uint32, is isa.ISA) int {
 	if w == nil {
 		panic(fmt.Sprintf("core: WaitH2N without RegisterWaiter (pid %d on %v)", pid, is))
 	}
-	p.WaitFor(w.cond, func() bool { return w.has })
+	p.WaitFor(w.cond, w.ready)
 	delete(mb.waiters, k)
+	mb.spare = append(mb.spare, w)
 	return w.slot
 }
 

@@ -308,12 +308,27 @@ func TestBenchRigUsesPredecode(t *testing.T) {
 	}
 }
 
+// memoMissVisits returns n byte-array offsets for ReadU64Virt whose
+// frames always miss the core's data-frame memo: random frames of the
+// array's first half (more of them than the memo has slots), each
+// followed by the frame 2 MiB above it, which maps to the same slot.
+func memoMissVisits(n int) []uint64 {
+	rng := rand.New(rand.NewSource(2))
+	visits := make([]uint64, n)
+	for i := 0; i < n; i += 2 {
+		visits[i] = uint64(rng.Int63n(bytesSize/2)) &^ 7
+		visits[i+1] = visits[i] + bytesSize/2
+	}
+	return visits
+}
+
 // BenchmarkDataAccess times the simulated data path on every ISA: the
 // interpreter running dataSrc's load/store/push/pop loop (ns per retired
 // instruction), a native function's ReadU64Virt of warm board-style
-// memory (ns per read) — the access the Table IV BFS kernel makes — and
-// the BFS kernel's interleaving of a sequential u64 array with random
-// bytes of a second array on one huge page (ns per access).
+// memory (ns per read) — the access the Table IV BFS kernel makes — the
+// BFS kernel's interleaving of a sequential u64 array with random bytes
+// of a second array on one huge page (ns per access), and ReadU64Virt on
+// that page with every access missing the data-frame memo (ns per read).
 func BenchmarkDataAccess(b *testing.B) {
 	for _, be := range isa.All() {
 		is := be.ISA()
@@ -351,6 +366,28 @@ func BenchmarkDataAccess(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N && err == nil; i++ {
 					err = readInterleaved(p, rig.core, visits, i)
+				}
+				b.StopTimer()
+			})
+			rig.env.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.Run(be.Name()+"/read-u64-virt-memo-miss", func(b *testing.B) {
+			rig, _ := buildInterleavedRig(b, is)
+			visits := memoMissVisits(4096)
+			var err error
+			rig.env.Spawn("bench", func(p *sim.Proc) {
+				for _, v := range visits {
+					if _, err = rig.core.ReadU64Virt(p, hugeVA+bytesPA+v); err != nil {
+						return
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N && err == nil; i++ {
+					_, err = rig.core.ReadU64Virt(p, hugeVA+bytesPA+visits[i%len(visits)])
 				}
 				b.StopTimer()
 			})

@@ -106,6 +106,10 @@ type Core struct {
 	// nothing; 16 bytes covers every codec's MaxLen.
 	fetchBuf [16]byte
 
+	// frames is the data-frame memo (see frameWord), allocated on the
+	// first word access that can use it.
+	frames *[frameSlots]frameSlot
+
 	instret uint64
 	cycles  uint64
 	faults  uint64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"flick/internal/isa"
+	"flick/internal/mem"
 	"flick/internal/paging"
 	"flick/internal/sim"
 )
@@ -496,6 +497,9 @@ func (c *Core) accessVirt(p *sim.Proc, va uint64, buf []byte, write bool) error 
 // nothing. A page-straddling word carries on from the translation it
 // already has into the next page, exactly as accessVirt does.
 func (c *Core) wordVirt(p *sim.Proc, va uint64, size int, write bool, v uint64) (uint64, error) {
+	if out, ok := c.frameWord(p, va, size, write, v); ok {
+		return out, nil
+	}
 	var out uint64
 	for shift := 0; size > 0; {
 		pa, n, err := c.dataPiece(p, va, size, write)
@@ -517,6 +521,69 @@ func (c *Core) wordVirt(p *sim.Proc, va uint64, size int, write bool, v uint64) 
 		shift += 8 * n
 	}
 	return out, nil
+}
+
+// frameSlots sizes the data-frame memo (Core.frames), a direct-mapped
+// table indexed by physical frame number modulo frameSlots.
+const frameSlots = 512
+
+// frameSlot is one data-frame memo entry: physical frame key-1 resolved
+// to the granule that backs it. Key 0 marks an empty slot.
+type frameSlot struct {
+	key uint64
+	mem.Frame
+}
+
+// frameWord is wordVirt's one-lookup path: it performs the access and
+// returns true when the word lies inside one 4 KiB frame on both sides of
+// the translation, the DMMU's last-translation window answers va (so a
+// real Translate would take its fast path), the access needs no
+// protection fault, and the frame memo resolves the physical frame to a
+// materialized RAM granule (or ROM, for a load). It then does what
+// dataPiece and Phys.Load/Store would: the same repeat-hit counters, the
+// same AccessCost sleep, then the load or store in place. Otherwise it
+// returns false having changed nothing, and wordVirt takes the general
+// path. A memo entry never goes stale: mappings never move and a granule
+// never moves once materialized. FLICKSIM_NOSUPERBLOCK disables the
+// last-translation window, and with it this path.
+func (c *Core) frameWord(p *sim.Proc, va uint64, size int, write bool, v uint64) (uint64, bool) {
+	if va%mem.FrameSize+uint64(size) > mem.FrameSize {
+		return 0, false
+	}
+	pa, flags, ok := c.cfg.DMMU.RepeatPeek(va)
+	if !ok || write && !flags.Writable {
+		return 0, false
+	}
+	in := pa % mem.FrameSize
+	if in+uint64(size) > mem.FrameSize {
+		return 0, false
+	}
+	key := pa/mem.FrameSize + 1
+	if c.frames == nil {
+		c.frames = new([frameSlots]frameSlot)
+	}
+	e := &c.frames[key%frameSlots]
+	if e.key != key {
+		f, ok := c.cfg.Phys.Frame(pa)
+		if !ok {
+			return 0, false
+		}
+		*e = frameSlot{key: key, Frame: f}
+	}
+	if write && e.ROM {
+		return 0, false
+	}
+	// Copy the entry: the sleep below may run code that refills the slot.
+	f := e.Frame
+	c.cfg.DMMU.CountRepeatHit()
+	if c.cfg.AccessCost != nil {
+		p.Sleep(c.cfg.AccessCost(pa, size, write))
+	}
+	if write {
+		f.Store(in, size, v)
+		return 0, true
+	}
+	return f.Load(in, size), true
 }
 
 // ReadVirt exposes timed virtual-memory reads to native functions.

@@ -1,5 +1,7 @@
 package cpu
 
+import "math/bits"
+
 // icacheLineSize is the instruction-cache line size in bytes.
 const icacheLineSize = 64
 
@@ -10,11 +12,19 @@ const icacheLineSize = 64
 // fill cost, loop bodies then run from the cache.
 type icache struct {
 	capacity int
-	lines    map[uint64]int // line base → insertion order
-	order    []uint64       // FIFO ring
+	order    []uint64 // FIFO ring
 	next     int
 	hits     uint64
 	fills    uint64
+
+	// slots is the set of resident lines, open-addressed with linear
+	// probing: a power-of-two table at least twice capacity, each line
+	// stored as line|1 so that 0 marks an empty slot (line bases are
+	// 64-byte aligned), the home slot the top bits of a Fibonacci hash.
+	// Deletion shifts later entries back, so no tombstones build up.
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	n     int  // resident lines
 
 	// gen counts content mutations (fills and flushes). A superblock that
 	// validated all its lines resident at generation g can skip the
@@ -24,17 +34,38 @@ type icache struct {
 }
 
 func newICache(lines int) *icache {
+	size := 1 << bits.Len(uint(2*lines-1))
 	return &icache{
 		capacity: lines,
-		lines:    make(map[uint64]int, lines),
 		order:    make([]uint64, lines),
+		slots:    make([]uint64, size),
+		shift:    uint(64 - bits.TrailingZeros(uint(size))),
+	}
+}
+
+// home returns the slot where a probe for line starts.
+func (ic *icache) home(line uint64) int {
+	return int((line / icacheLineSize * 0x9E3779B97F4A7C15) >> ic.shift)
+}
+
+// find returns the slot holding line, or the empty slot ending its probe
+// sequence and false.
+func (ic *icache) find(line uint64) (int, bool) {
+	mask := len(ic.slots) - 1
+	for i := ic.home(line); ; i = (i + 1) & mask {
+		switch ic.slots[i] {
+		case line | 1:
+			return i, true
+		case 0:
+			return i, false
+		}
 	}
 }
 
 // lookup returns the line base for pa and whether it is resident.
 func (ic *icache) lookup(pa uint64) (line uint64, hit bool) {
 	line = pa &^ (icacheLineSize - 1)
-	_, hit = ic.lines[line]
+	_, hit = ic.find(line)
 	if hit {
 		ic.hits++
 	}
@@ -43,19 +74,42 @@ func (ic *icache) lookup(pa uint64) (line uint64, hit bool) {
 
 // fill inserts a line, evicting FIFO when full.
 func (ic *icache) fill(line uint64) {
-	if len(ic.lines) >= ic.capacity {
-		victim := ic.order[ic.next%ic.capacity]
-		delete(ic.lines, victim)
+	if ic.n >= ic.capacity {
+		ic.remove(ic.order[ic.next%ic.capacity])
 	}
-	ic.lines[line] = ic.next
+	if i, ok := ic.find(line); !ok {
+		ic.slots[i] = line | 1
+		ic.n++
+	}
 	ic.order[ic.next%ic.capacity] = line
 	ic.next++
 	ic.fills++
 	ic.gen++
 }
 
+// remove drops line from the resident set if present, moving each later
+// entry of its probe run whose home slot does not lie cyclically in
+// (hole, entry] back into the hole.
+func (ic *icache) remove(line uint64) {
+	i, ok := ic.find(line)
+	if !ok {
+		return
+	}
+	mask := len(ic.slots) - 1
+	for j := (i + 1) & mask; ic.slots[j] != 0; j = (j + 1) & mask {
+		h := ic.home(ic.slots[j] &^ 1)
+		if i <= j && (h <= i || h > j) || i > j && h <= i && h > j {
+			ic.slots[i] = ic.slots[j]
+			i = j
+		}
+	}
+	ic.slots[i] = 0
+	ic.n--
+}
+
 func (ic *icache) flush() {
-	clear(ic.lines)
+	clear(ic.slots)
+	ic.n = 0
 	ic.next = 0
 	ic.gen++
 }
@@ -63,7 +117,7 @@ func (ic *icache) flush() {
 // resident reports whether a line is cached without touching the hit
 // counter — a pure residency probe for block validation.
 func (ic *icache) resident(line uint64) bool {
-	_, ok := ic.lines[line]
+	_, ok := ic.find(line)
 	return ok
 }
 

@@ -427,7 +427,7 @@ func (c *Core) advance(inBody bool) (sim.Duration, bool) {
 		case sbEnter:
 			k := len(b.ins)
 			if b.pure && c.cfg.SpuriousFault == nil && r.budget >= k {
-				if _, ok := immu.RepeatPeek(c.ctx.PC); ok && c.linesResident(b) && p.TrySleepInPlace(b.cost) {
+				if _, _, ok := immu.RepeatPeek(c.ctx.PC); ok && c.linesResident(b) && p.TrySleepInPlace(b.cost) {
 					// Committed: time has advanced by the whole block.
 					// Settle the fetch-side counters for every member
 					// whose fetch Step didn't already perform, then the
@@ -472,7 +472,7 @@ func (c *Core) advance(inBody bool) (sim.Duration, bool) {
 				if r.budget <= 0 {
 					return r.done(nil)
 				}
-				if _, ok := immu.RepeatPeek(r.pc); !ok {
+				if _, _, ok := immu.RepeatPeek(r.pc); !ok {
 					return r.done(nil)
 				}
 				if !c.decodeValid() {
@@ -626,11 +626,11 @@ func (c *Core) chain() bool {
 	if align := uint64(c.codec.Align()); pc%align != 0 {
 		return false
 	}
-	res, ok := c.cfg.IMMU.RepeatPeek(pc)
-	if !ok || !c.execOK(res.Flags) {
+	pa, flags, ok := c.cfg.IMMU.RepeatPeek(pc)
+	if !ok || !c.execOK(flags) {
 		return false
 	}
-	nb := c.pd.lookup(res.Phys)
+	nb := c.pd.lookup(pa)
 	if nb == nil {
 		return false
 	}

@@ -110,3 +110,63 @@ func TestLookupMemoAcrossMap(t *testing.T) {
 		t.Fatal("Lookup just past a memoized mapping succeeded")
 	}
 }
+
+// TestFrameResolvesOnlyWholeGranules: Frame hands out a frame only when
+// one materialized RAM or ROM granule backs all of it, and its loads and
+// stores then agree with AddressSpace.Load/Store.
+func TestFrameResolvesOnlyWholeGranules(t *testing.T) {
+	as := NewAddressSpace("v")
+	ram, odd, tail := NewRAM("ram", 4*chunkSize), NewRAM("odd", 3*chunkSize), NewRAM("tail", chunkSize/2)
+	rom := NewROM("rom", make([]byte, chunkSize))
+	for _, m := range []struct {
+		base uint64
+		r    *Region
+	}{{0, ram}, {0x10_0800, odd}, {0x20_0000, tail}, {0x30_0000, rom}, {0x40_0000, NewMMIO("regs", chunkSize, nil)}} {
+		if err := as.Map(m.base, m.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []*Region{odd, tail} {
+		r.Store().WriteAt(0, make([]byte, r.Size()))
+	}
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		ok   bool
+	}{
+		{"ram", 0x1008, true},
+		{"rom", 0x30_0010, true},
+		{"unmaterialized", 0x2008, false},
+		{"unaligned region base", 0x10_1008, false},
+		{"region ends inside the frame", 0x20_0008, false},
+		{"mmio", 0x40_0008, false},
+		{"unmapped", 0x50_0000, false},
+	} {
+		if tc.name == "ram" {
+			ram.Store().StoreWord(0x1000, 1, 1) // materialize the frame
+		}
+		f, ok := as.Frame(tc.addr)
+		if ok != tc.ok {
+			t.Errorf("%s: Frame(%#x) ok = %v, want %v", tc.name, tc.addr, ok, tc.ok)
+			continue
+		}
+		if ok && f.ROM != (tc.name == "rom") {
+			t.Errorf("%s: ROM = %v", tc.name, f.ROM)
+		}
+	}
+	f, _ := as.Frame(0x1008)
+	ram.Store().WatchCode(0x1000, 1)
+	f.Store(0x8, 8, 0x1122334455667788)
+	if v, _ := as.Load(0x1008, 8); v != 0x1122334455667788 {
+		t.Errorf("AddressSpace.Load after Frame.Store = %#x", v)
+	}
+	if ram.Store().CodeGen() != 1 {
+		t.Errorf("Frame.Store to a watched frame left CodeGen at %d", ram.Store().CodeGen())
+	}
+	if err := as.Store(0x100c, 2, 0xABCD); err != nil {
+		t.Fatal(err)
+	}
+	if v := f.Load(0xc, 2); v != 0xABCD {
+		t.Errorf("Frame.Load after AddressSpace.Store = %#x", v)
+	}
+}

@@ -305,6 +305,54 @@ func (as *AddressSpace) wordRegion(addr, n uint64) (*Region, uint64, error) {
 	return r, off, nil
 }
 
+// FrameSize is the size of the physical frames Frame resolves: one
+// allocation granule.
+const FrameSize = chunkSize
+
+// Frame is one FrameSize-aligned physical frame of RAM or ROM resolved to
+// the granule that backs it, for word accesses made in place. It stays
+// exact for the life of the address space: a mapping never moves (there
+// is no Unmap) and a granule never moves once materialized.
+type Frame struct {
+	g   *[chunkSize]byte
+	s   *Sparse
+	off uint64 // store offset of the frame's first byte
+	// ROM is set when bus writes to the frame fault (Store's ROM check).
+	ROM bool
+}
+
+// Frame resolves the physical frame holding addr. It returns false when
+// no region holds the whole frame on one granule (MMIO, a region edge or
+// an unaligned region base inside the frame) and when the frame's granule
+// was never written: an unmaterialized frame reads as zero and
+// materializes on its first write, which Load and Store handle.
+func (as *AddressSpace) Frame(addr uint64) (Frame, bool) {
+	r, off, err := as.Lookup(addr)
+	in := addr & (chunkSize - 1)
+	if err != nil || r.Kind == MMIO || off&(chunkSize-1) != in || off-in+chunkSize > r.size {
+		return Frame{}, false
+	}
+	off -= in
+	g := r.store.chunkFor(off, false)
+	if g == nil {
+		return Frame{}, false
+	}
+	return Frame{g: g, s: r.store, off: off, ROM: r.Kind == ROM}, true
+}
+
+// Load reads the size-byte (1..8) little-endian word at byte in of the
+// frame; in+size must not exceed FrameSize. It returns what
+// AddressSpace.Load returns for the same address.
+func (f *Frame) Load(in uint64, size int) uint64 { return loadLE(f.g[in:], size) }
+
+// Store writes the low size bytes of v at byte in of the frame, noting
+// the write for the code watch; in+size must not exceed FrameSize. On a
+// RAM frame it does what AddressSpace.Store does for the same address.
+func (f *Frame) Store(in uint64, size int, v uint64) {
+	f.s.NoteCodeWrite(f.off+in, uint64(size))
+	storeLE(f.g[in:], size, v)
+}
+
 // ReadU64 reads a little-endian 64-bit word.
 func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) { return as.Load(addr, 8) }
 

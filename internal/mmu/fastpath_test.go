@@ -138,7 +138,7 @@ func TestTranslateFastPathDifferential(t *testing.T) {
 				op = "SetTables"
 			default:
 				va := diffVA(rng, aliases)
-				if _, ok := fast.RepeatPeek(va); ok {
+				if _, _, ok := fast.RepeatPeek(va); ok {
 					fastHits++
 					if va>>12 != fast.lastVA>>12 {
 						pageHits++

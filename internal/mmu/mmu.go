@@ -151,26 +151,27 @@ func (m *MMU) remember(va uint64, r tlb.Result) {
 }
 
 // RepeatPeek answers va from the last-translation window without any
-// metric or state change, reporting whether the window covers it. A true
-// result means a real Translate(va) would take the fast path above — va
-// inside the remembered result's linear span, TLB generation unchanged —
-// so a caller batching several such translations may use the returned
-// result for each and settle the counters once via
-// CountRepeatHit/CountRepeatHits. The superblock executor is that
-// caller; it must account one repeat hit per fetch it actually performs,
-// or metrics diverge from the per-instruction path.
+// metric or state change: the physical address and page flags a real
+// Translate(va) would return, and whether the window covers va. A true
+// result means Translate(va) would take the fast path above — va inside
+// the remembered result's linear span, TLB generation unchanged — so a
+// caller may use the answer and settle the counters via
+// CountRepeatHit/CountRepeatHits. The superblock executor and the
+// core's data-frame memo are such callers; each must account one repeat
+// hit per translation it stands in for, or metrics diverge from the
+// per-instruction path. It returns only the fields callers use: copying
+// out a whole tlb.Result made a memo-served word access nearly twice as
+// slow (docs/PERFORMANCE.md, "One resolve per data frame").
 //
 // The span is a power-of-two size and the block it names is aligned to
 // it, so va lies in the same block as lastVA exactly when they differ
 // only below the span's bit: va^lastVA < Span. A zero span never
 // matches. Unsigned subtraction offsets correctly for va below lastVA.
-func (m *MMU) RepeatPeek(va uint64) (tlb.Result, bool) {
+func (m *MMU) RepeatPeek(va uint64) (phys uint64, flags paging.Flags, ok bool) {
 	if va^m.lastVA < m.lastRes.Span && m.TLB.Gen() == m.lastGen {
-		r := m.lastRes
-		r.Phys += va - m.lastVA
-		return r, true
+		return m.lastRes.Phys + (va - m.lastVA), m.lastRes.Flags, true
 	}
-	return tlb.Result{}, false
+	return 0, paging.Flags{}, false
 }
 
 // CountRepeatHit settles the counters for one translation answered via

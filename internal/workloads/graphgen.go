@@ -55,6 +55,44 @@ func (g *CSR) NumEdges() int { return len(g.Targets) }
 // Degree returns the out-degree of v.
 func (g *CSR) Degree(v int) int { return int(g.Offsets[v+1] - g.Offsets[v]) }
 
+// R-MAT's Graph500 partition probabilities: top-left, top-right and
+// bottom-left quadrant; bottom-right takes the rest.
+const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
+
+// The R-MAT thresholds: GenerateRMAT picks each quadrant as a switch on
+// rand.Rand.Float64 would, without floating point. Float64 returns
+// float64(x)/2^63 for x = Int63(), redrawing when that rounds to 1.
+// float64(x) never decreases as x grows, so Float64() < p holds exactly
+// when x is below rmatThreshold(p), the smallest x with
+// float64(x)/2^63 >= p; comparing x with these integers picks the
+// quadrant the float switch picked, from the same draws.
+var (
+	rmatT1     = rmatThreshold(rmatA)
+	rmatT2     = rmatThreshold(rmatA + rmatB)
+	rmatT3     = rmatThreshold(rmatA + rmatB + rmatC)
+	rmatRedraw = rmatThreshold(1)
+)
+
+// rmatThreshold returns the smallest x in [0, 2^63] with
+// float64(x)/2^63 >= p, by binary search.
+func rmatThreshold(p float64) int64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return int64(lo)
+}
+
+// above returns 1 when x >= t and 0 otherwise, without a branch; x and t
+// lie in [0, 2^63), so t-1-x cannot overflow and is negative exactly when
+// x >= t.
+func above(x, t int64) int64 { return int64(uint64(t-1-x) >> 63) }
+
 // GenerateRMAT synthesizes a directed graph with the R-MAT/Kronecker
 // recursive partition probabilities used by Graph500 (a=0.57, b=0.19,
 // c=0.19), producing the heavy-tailed degree distribution of social
@@ -88,27 +126,20 @@ func GenerateRMAT(d Dataset, seed int64) *CSR {
 		edges = append(edges, edge{uint32(src), uint32(i)})
 	}
 
-	const a, b, c = 0.57, 0.19, 0.19
 	for len(edges) < d.Edges {
-		var src, dst int
-		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: neither bit set
-			case r < a+b:
-				dst |= 1 << bit
-			case r < a+b+c:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
+		var src, dst int64
+		for range scale {
+			// The quadrant is how many thresholds x reaches: 0 is top-left
+			// (no bit), 1 sets dst's bit, 2 src's and 3 both.
+			x := rng.Int63()
+			for x >= rmatRedraw {
+				x = rng.Int63()
 			}
+			q := above(x, rmatT1) + above(x, rmatT2) + above(x, rmatT3)
+			src = src<<1 | q>>1
+			dst = dst<<1 | q&1
 		}
-		src %= v
-		dst %= v
-		edges = append(edges, edge{uint32(src), uint32(dst)})
-		src, dst = 0, 0
+		edges = append(edges, edge{uint32(int(src) % v), uint32(int(dst) % v)})
 	}
 
 	// Build CSR with counting sort by source.
